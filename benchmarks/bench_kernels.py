@@ -8,12 +8,17 @@ scans on a projective plane; checks both backends return identical
 witnesses.
 """
 
+import os
 import sys
 import time
 
-from singer import _kernels_py
-from singer import hyper, geometry, diffsets
-from singer.groups import Cyclic
+# run from a source checkout without installing the package
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+
+from singer import _kernels_py  # noqa: E402
+from singer import hyper, geometry, diffsets  # noqa: E402
+from singer.groups import Cyclic  # noqa: E402
 
 try:
     from singer import _kernels

@@ -245,34 +245,42 @@ def cmd_lemma(args):
 def cmd_verify_only(path, out):
     with open(path) as fh:
         obj = json.load(fh)
+    report, ok = cmd_verify_only_obj(obj)
+    _emit(report, out)
+    return EXIT_OK if ok else EXIT_VERIFY
+
+
+def cmd_verify_only_obj(obj):
+    """(report, ok) for one payload object.  Payloads that wrap a
+    difference set under `difference_set` are unwrapped by calling this
+    again; a `hughes` payload's log is replayed and its hash recomputed."""
+    if not isinstance(obj, dict):
+        raise DomainError("unrecognized payload shape")
     if "carrier" in obj:
         T = hyper.HyperTable.from_json(obj)
         rep = hyper.check_axioms(T)
-        _emit({"kind": "hypertable", "axioms": rep.to_json()}, out)
-        return EXIT_OK if rep.passed() else EXIT_VERIFY
+        return {"kind": "hypertable", "axioms": rep.to_json()}, rep.passed()
     if "elements" in obj and "group" in obj:
         S = diffsets.PartialDifferenceSet.from_json(obj)
         cert = diffsets.verify_partial(S)
-        _emit({"kind": "difference-set", "ok": cert.ok,
-               "detail": cert.detail}, out)
-        return EXIT_OK if cert.ok else EXIT_VERIFY
+        return ({"kind": "difference-set", "ok": cert.ok,
+                 "detail": cert.detail}, cert.ok)
     if "points" in obj and "lines" in obj:
         gamma = geometry.IncidenceStructure.from_json(obj)
         cert = geometry.verify_plane(gamma)
-        _emit({"kind": "plane", "certificate": cert.to_json()}, out)
-        return EXIT_OK if cert.ok else EXIT_VERIFY
-    # difference-set payloads wrap the set under this key
+        return {"kind": "plane", "certificate": cert.to_json()}, cert.ok
     if "difference_set" in obj:
-        return cmd_verify_only_obj(obj["difference_set"], out)
+        report, ok = cmd_verify_only_obj(obj["difference_set"])
+        if "log" in obj or "log_hash" in obj:
+            state = diffsets.BuilderState.from_json(obj)
+            cert = diffsets.verify_log(state, obj.get("log_hash"))
+            if cert.ok and obj.get("prefixes_certified") != len(state.log):
+                cert = diffsets.Certificate(False, cert.kind, {
+                    "prefixes_certified": obj.get("prefixes_certified")})
+            report["log"] = {"ok": cert.ok, "detail": cert.detail}
+            ok = ok and cert.ok
+        return report, ok
     raise DomainError("unrecognized payload shape")
-
-
-def cmd_verify_only_obj(obj, out):
-    S = diffsets.PartialDifferenceSet.from_json(obj)
-    cert = diffsets.verify_partial(S)
-    _emit({"kind": "difference-set", "ok": cert.ok, "detail": cert.detail},
-          out)
-    return EXIT_OK if cert.ok else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,11 @@ def differences(S):
     G = S.group
     out = set()
     els = S.elements
-    for a in els:
-        for b in els:
+    for b in els:
+        b_inv = G.inv(b)
+        for a in els:
             if a != b:
-                out.add(G.mul(a, G.inv(b)))
+                out.add(G.mul(a, b_inv))
     return out
 
 
@@ -82,6 +83,12 @@ def _difference_pairs(S):
 def verify_partial(S):
     """Certificate iff the difference map is injective; else the two
     colliding pairs are reported."""
+    k = len(S.elements)
+    diffs = differences(S)
+    if len(diffs) == k * (k - 1):
+        # one difference per ordered pair: the map is injective
+        return Certificate(True, "partial-difference-set",
+                           {"differences": len(diffs)})
     pairs = _difference_pairs(S)
     for d, ps in pairs.items():
         if len(ps) > 1:
@@ -178,9 +185,18 @@ def classical_singer(q, m):
 
 @dataclass
 class BuilderState:
+    """A certified set, the number of targets consumed and the step log.
+
+    `diffs` (the difference set of `current`) and `failed` (one byte per
+    enumeration position, 1 for a candidate that can never be adjoined
+    again) are caches for `current` that `hughes_step` fills in and hands
+    on; a state made without them gets them on its first step.  A state
+    never shares a cache with a state whose set is larger."""
     current: PartialDifferenceSet
     targets_consumed: int = 0
     log: list = field(default_factory=list)
+    diffs: set = field(default=None, repr=False, compare=False)
+    failed: bytearray = field(default=None, repr=False, compare=False)
 
     def log_json(self):
         return self.log
@@ -189,25 +205,38 @@ class BuilderState:
         payload = json.dumps(self.log, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
+    @staticmethod
+    def from_json(obj):
+        """The state a `hughes` payload records: its set and its log."""
+        S = PartialDifferenceSet.from_json(obj["difference_set"])
+        log = obj.get("log")
+        if not isinstance(log, list) or not all(
+                isinstance(entry, dict)
+                and isinstance(entry.get("target"), str)
+                and isinstance(entry.get("added"), list)
+                and all(isinstance(z, str) for z in entry["added"])
+                for entry in log):
+            raise DomainError("log must be a list of {target, added} entries")
+        return BuilderState(S, len(log), log)
 
-def _new_differences(G, S_els, diffs, new_els):
-    """Differences contributed by adjoining new_els to the set. Returns
-    None on any collision (among themselves, with diffs, or identity)."""
-    e = G.identity
-    mul, inv = G.mul, G.inv
-    seen = set()
-    all_els = list(S_els)
-    for x in new_els:
-        if x in all_els:
-            return None
-        x_inv = inv(x)
-        for s in all_els:
-            for d in (mul(x, inv(s)), mul(s, x_inv)):
-                if d == e or d in diffs or d in seen:
-                    return None
-                seen.add(d)
-        all_els.append(x)
-    return seen
+
+def _new_differences(G, els, invs, diffs, z, seen):
+    """Add to `seen` the differences z s^-1 and s z^-1 (s in `els`, whose
+    inverses are `invs`) that adjoining z contributes.  False on any
+    collision, with `diffs` or among themselves (`seen` included).  The
+    caller keeps z out of `els`, so none of them is the identity."""
+    mul = G.mul
+    # diffs = diffs^-1, so s z^-1 lies in it exactly when z s^-1 does
+    for s_inv in invs:
+        if mul(z, s_inv) in diffs:
+            return False
+    z_inv = G.inv(z)
+    for s, s_inv in zip(els, invs):
+        for d in (mul(z, s_inv), mul(s, z_inv)):
+            if d in seen:
+                return False
+            seen.add(d)
+    return True
 
 
 def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND,
@@ -217,54 +246,70 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND,
     No-op (cursor/log only) when d already is a difference; otherwise scans
     candidates x in enumeration order and adjoins {x, d^-1 x} (d^-1 x may
     coincide with an existing element, in which case only x is new).
+
+    A candidate x that collides with S on its own is marked in `failed`
+    and skipped from then on.  With D the differences of S (D = D^-1), it
+    collides when x s^-1 is in D for some s in S, that is x in D S, or when
+    two of the x s^-1, s x^-1 are equal.  Neither depends on the target,
+    and both stay true as S and D grow.  Skipped candidates still count
+    against `search_bound`.
     """
     S = state.current
     G = S.group
     if abelian_mode is None:
         abelian_mode = G.abelian
-    e = G.identity
     G.validate(d)
-    if d == e:
+    if d == G.identity:
         raise DomainError("target must be a nonidentity element")
     if not S.certified:
         raise DomainError("builder state must carry a certified set")
-    diffs = differences(S)
+    diffs = state.diffs if state.diffs is not None else differences(S)
     if d in diffs:
         new_log = state.log + [{"target": G.canon(d), "chosen_x": None,
                                 "added": []}]
-        return BuilderState(S, state.targets_consumed + 1, new_log)
+        return BuilderState(S, state.targets_consumed + 1, new_log, diffs,
+                            state.failed)
 
     d_inv = G.inv(d)
-    elset = set(S.elements)
-    scanned = 0
-    for x in G.elements():
-        scanned += 1
-        if scanned > search_bound:
+    els = S.elements
+    invs = tuple(G.inv(s) for s in els)
+    elset = set(els)
+    # this step's own copy: the marks hold for S and every later set
+    failed = bytearray(state.failed or b"")
+    for i, x in enumerate(G.elements()):
+        if i >= search_bound:
             raise BoundedFailure(
                 f"no candidate for target {G.canon(d)} within {search_bound}")
-        if x in elset:
+        if i < len(failed) and failed[i] or x in elset:
+            continue
+        new = set()
+        if not _new_differences(G, els, invs, diffs, x, new):
+            if i >= len(failed):
+                failed.extend(bytes(i + 1 - len(failed)))
+            failed[i] = 1
             continue
         y = G.mul(d_inv, x)
-        new_els = [x] if y in elset else [x, y]
-        if len(new_els) == 2 and x == y:
-            continue
-        new = _new_differences(G, S.elements, diffs, new_els)
-        if new is None:
+        if y in elset:
+            new_els = (x,)
+        elif x != y and _new_differences(G, els + (x,), invs + (G.inv(x),),
+                                         diffs, y, new):
+            new_els = (x, y)
+        else:
             continue
         if abelian_mode:
             # the conjugation collision d^x = s_j^-1 s_i cannot fire when
             # the group is abelian and d is not yet a difference
             conj = G.mul(G.mul(G.inv(x), d), x)
             assert conj == d, "abelian shortcut violated"
-        elements = tuple(list(S.elements) + new_els)
-        ext = PartialDifferenceSet(G, elements, True)
+        ext = PartialDifferenceSet(G, els + new_els, True)
         assert d in new, "target must appear among the new differences"
         new_log = state.log + [{
             "target": G.canon(d),
             "chosen_x": G.canon(x),
             "added": [G.canon(z) for z in new_els],
         }]
-        return BuilderState(ext, state.targets_consumed + 1, new_log)
+        return BuilderState(ext, state.targets_consumed + 1, new_log,
+                            diffs | new, failed)
     raise BoundedFailure(
         f"enumeration exhausted before bound for target {G.canon(d)}")
 
@@ -301,19 +346,49 @@ def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
 
 
 def replay_chain(state):
-    """Re-certify every prefix of the builder log (the chain lemma).
+    """Certify every prefix of the builder log (the chain lemma).
 
-    Returns the list of prefix sizes checked."""
+    The log is parsed and must rebuild `state.current` element by element,
+    without repeats.  Every prefix is then a subset of the final set, and a
+    subset of a partial difference set is partial: its difference map is a
+    restriction of an injective map.  So one exhaustive `verify_partial` of
+    the final set certifies all of them.
+
+    Returns the list of prefix sizes, one per log entry."""
     G = state.current.group
     elements = [G.identity]
     sizes = []
     for entry in state.log:
-        for s in entry["added"]:
-            elements.append(G.parse(s))
-        prefix = PartialDifferenceSet(G, tuple(elements))
-        if not verify_partial(prefix):
-            raise AssertionError(f"prefix of size {len(elements)} not partial")
+        elements.extend(G.parse(s) for s in entry["added"])
         sizes.append(len(elements))
     if tuple(elements) != state.current.elements:
         raise AssertionError("log does not reproduce the final set")
+    if len(set(elements)) != len(elements):
+        raise AssertionError("log adds an element twice")
+    if not verify_partial(state.current):
+        raise AssertionError(f"set of size {len(elements)} not partial")
     return sizes
+
+
+def verify_log(state, log_hash):
+    """Certificate that a builder log is the record of its final set: the
+    log hashes to `log_hash`, it replays (`replay_chain`), and each target
+    is a difference of the prefix built by its step.  In a partial set
+    every difference has one pair (a, b), and it is a difference of a
+    prefix exactly when a and b both lie in that prefix."""
+    if state.log_hash() != log_hash:
+        return Certificate(False, "builder-log",
+                           {"recomputed_log_hash": state.log_hash()})
+    try:
+        sizes = replay_chain(state)
+    except AssertionError as exc:
+        return Certificate(False, "builder-log", {"replay": str(exc)})
+    G = state.current.group
+    position = {s: i for i, s in enumerate(state.current.elements)}
+    pairs = _difference_pairs(state.current)
+    for entry, size in zip(state.log, sizes):
+        ps = pairs.get(G.parse(entry["target"]))
+        if ps is None or max(position[ps[0][0]], position[ps[0][1]]) >= size:
+            return Certificate(False, "builder-log", {
+                "target": entry["target"], "prefix": size})
+    return Certificate(True, "builder-log", {"prefixes": len(sizes)})

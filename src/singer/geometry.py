@@ -163,6 +163,9 @@ def plane_from_difference_set(G, S):
         raise DomainError("finite groups only")
     if not S.certified:
         raise DomainError("difference set must be certified")
+    if S.group != G:
+        raise DomainError(f"difference set lives in {S.group.spec_string()}, "
+                          f"not in {G.spec_string()}")
     els = list(G.elements())
     index = {e: i for i, e in enumerate(els)}
     sset = set(S.elements)

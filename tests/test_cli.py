@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,46 @@ def test_verify_only_roundtrips(tmp_path, capsys):
         code, out, err = run(["--verify-only", str(bad)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_only_replays_hughes_log(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    obj = payload(["--out", str(path), "hughes", "--group", "free:2",
+                   "--targets", "30"], capsys)
+    code, out, _ = run(["--verify-only", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["log"]["ok"]
+    assert rep["log"]["detail"] == {"prefixes": 30}
+
+    def edited(edit, rehash=False):
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        if rehash:
+            bad["log_hash"] = hashlib.sha256(json.dumps(
+                bad["log"], sort_keys=True).encode()).hexdigest()
+        path.write_text(json.dumps(bad))
+        code, out, err = run(["--verify-only", str(path)], capsys)
+        return code, (json.loads(out) if out else err)
+
+    def swap_targets(p):
+        p["log"][3]["target"], p["log"][5]["target"] = (
+            p["log"][5]["target"], p["log"][3]["target"])
+
+    code, rep = edited(lambda p: p.__setitem__("log_hash", "0" * 64))
+    assert code == 2 and not rep["log"]["ok"]
+    code, rep = edited(swap_targets)
+    assert code == 2 and "recomputed_log_hash" in rep["log"]["detail"]
+    # with the hash recomputed the replay itself must catch the edit
+    code, rep = edited(swap_targets, rehash=True)
+    assert code == 2 and "target" in rep["log"]["detail"]
+    code, rep = edited(lambda p: p["log"][-1]["added"].append("a"),
+                       rehash=True)
+    assert code == 2 and "replay" in rep["log"]["detail"]
+    code, rep = edited(lambda p: p.__setitem__("prefixes_certified", 31))
+    assert code == 2 and not rep["log"]["ok"]
+    for malformed in ("x", [1], [{"target": "a"}]):
+        code, err = edited(lambda p: p.__setitem__("log", malformed))
+        assert code == 1 and err.startswith("error:")
 
 
 def test_out_flag_writes_identical_payload(tmp_path, capsys):

@@ -141,6 +141,138 @@ def test_replay_chain():
     assert sizes == sorted(sizes)
 
 
+# ---------------------------------------------------------------------------
+# the builder's shortcuts against the exhaustive checks at small sizes
+
+def naive_step(state, d, bound=ds.DEFAULT_SEARCH_BOUND):
+    """The builder step without shortcuts: the differences of S from
+    scratch, every candidate from the identity on, and the extension
+    accepted iff its new differences are distinct and new."""
+    S = state.current
+    G = S.group
+    D = ds.differences(S)
+    log = state.log + [{"target": G.canon(d), "chosen_x": None, "added": []}]
+    if d in D:
+        return ds.BuilderState(S, state.targets_consumed + 1, log)
+    for n, x in enumerate(G.elements(), 1):
+        if n > bound:
+            raise BoundedFailure(
+                f"no candidate for target {G.canon(d)} within {bound}")
+        y = G.mul(G.inv(d), x)
+        if x in S.elements or x == y:
+            continue
+        new_els = [x] if y in S.elements else [x, y]
+        T = S.elements + tuple(new_els)
+        new = [G.mul(a, G.inv(b)) for a in T for b in T
+               if a != b and (a in new_els or b in new_els)]
+        if len(set(new)) == len(new) and not set(new) & D:
+            assert d in new
+            log[-1].update(chosen_x=G.canon(x),
+                           added=[G.canon(z) for z in new_els])
+            return ds.BuilderState(ds.certify(pds(G, T)),
+                                   state.targets_consumed + 1, log)
+    raise BoundedFailure(
+        f"enumeration exhausted before bound for target {G.canon(d)}")
+
+
+def build(step, G, num_targets, bound=ds.DEFAULT_SEARCH_BOUND):
+    """Every state of the chain over the first num_targets targets."""
+    states = [ds.BuilderState(ds.certify(pds(G, [G.identity])))]
+    for d in G.enumerate(num_targets + 1)[1:]:
+        states.append(step(states[-1], d, bound))
+    return states
+
+
+def outcome(step, G, num_targets, bound=ds.DEFAULT_SEARCH_BOUND):
+    try:
+        return build(step, G, num_targets, bound)[-1].log
+    except BoundedFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("G,num_targets,bound", [
+    (Integers(), 60, ds.DEFAULT_SEARCH_BOUND),
+    (Free(2), 40, ds.DEFAULT_SEARCH_BOUND),
+    (Cyclic(183), 20, ds.DEFAULT_SEARCH_BOUND),
+    (Cyclic(183), 40, ds.DEFAULT_SEARCH_BOUND),   # enumeration exhausted
+    (Integers(), 60, 40),                          # search bound reached
+])
+def test_builder_matches_naive_reference(G, num_targets, bound):
+    got = outcome(ds.hughes_step, G, num_targets, bound)
+    assert got == outcome(naive_step, G, num_targets, bound)
+    if isinstance(got, list):
+        assert got == ds.hughes_build(G, num_targets, bound).log
+
+
+def test_builder_caches_stay_with_their_state():
+    # once the chain has moved on, stepping an older state again, with its
+    # own target or with a later one, gives what a step without caches
+    # gives: no state sees the marks made for a larger set
+    G = Integers()
+    targets = G.enumerate(41)[1:]
+    states = build(ds.hughes_step, G, 40)
+    for i, st in enumerate(states[:-1]):
+        again = ds.hughes_step(st, targets[i])
+        assert again.log == states[i + 1].log
+        assert again.diffs == ds.differences(again.current)
+        for t in targets[i + 1:i + 6]:
+            assert ds.hughes_step(st, t).log == naive_step(st, t).log
+
+
+def prefixes_partial(state):
+    G = state.current.group
+    els = [G.identity]
+    for entry in state.log:
+        els += [G.parse(s) for s in entry["added"]]
+        if not ds.verify_partial(pds(G, els)).ok:
+            return False
+    return tuple(els) == state.current.elements
+
+
+def tampered(state, log):
+    """The state that `log` records, its set rebuilt from the log."""
+    G = state.current.group
+    els = [G.identity] + [G.parse(s) for e in log for s in e["added"]]
+    return ds.BuilderState(pds(G, els), len(log), log)
+
+
+@pytest.mark.parametrize("G,num_targets", [
+    (Integers(), 40), (Free(2), 25), (Cyclic(183), 20)])
+def test_replay_chain_agrees_with_every_prefix(G, num_targets):
+    st = ds.hughes_build(G, num_targets)
+    assert prefixes_partial(st)
+    assert ds.replay_chain(st) == [1 + sum(
+        len(e["added"]) for e in st.log[:i + 1]) for i in range(len(st.log))]
+    assert ds.verify_log(st, st.log_hash()).ok
+
+    # an added element swapped for one that repeats a difference
+    log = [dict(e) for e in st.log]
+    j = max(i for i, e in enumerate(log) if len(e["added"]) == 2)
+    a = G.parse(log[j]["added"][0])
+    s1 = st.current.elements[1]
+    # z a^-1 = s1 = s1 e^-1 is already a difference
+    log[j]["added"] = [log[j]["added"][0], G.canon(G.mul(s1, a))]
+    bad = tampered(st, log)
+    assert not prefixes_partial(bad)
+    with pytest.raises(AssertionError, match="not partial"):
+        ds.replay_chain(bad)
+    assert not ds.verify_log(bad, bad.log_hash()).ok
+
+    # two entries that add elements, reordered
+    i, j = [k for k, e in enumerate(st.log) if e["added"]][1:3]
+    log = list(st.log)
+    log[i], log[j] = log[j], log[i]
+    with pytest.raises(AssertionError, match="does not reproduce"):
+        ds.replay_chain(ds.BuilderState(st.current, len(log), log))
+    # with the set reordered to match, every prefix is still partial, but
+    # a target is no longer a difference of the prefix its step built
+    bad = tampered(st, log)
+    assert prefixes_partial(bad) and ds.replay_chain(bad)
+    cert = ds.verify_log(bad, bad.log_hash())
+    assert not cert.ok and "target" in cert.detail
+    assert not ds.verify_log(st, "0" * 64).ok
+
+
 def test_step_growth_bound():
     st = ds.BuilderState(ds.certify(pds(Integers(), [0])))
     for d in Integers().enumerate(16)[1:]:

@@ -34,6 +34,13 @@ def test_plane_order_three():
     assert gamma.npoints == 13
 
 
+def test_plane_refuses_set_of_another_group():
+    # the certified C_13 set read in C_7 would give a 7-point "plane"
+    # that verify_plane accepts
+    with pytest.raises(DomainError, match="cyclic:13"):
+        geo.plane_from_difference_set(Cyclic(7), pds(Cyclic(13), [0, 1, 3, 9]))
+
+
 def test_verify_plane_rejects_k4():
     # complete graph on 4 points: pairs of lines meet in <= 1 point but
     # there is no quadrangle and line size is 2
