@@ -41,11 +41,11 @@ def bench_pair(name, fn_name, *args):
     if _kernels is None:
         print(f"{name:<36} python {py_t * 1e3:9.2f} ms   (no compiled build)")
         return
-    cy_t, cy_out = _time(getattr(_kernels, fn_name), *args)
-    assert py_out == cy_out, f"{name}: backends disagree ({py_out} vs {cy_out})"
-    speedup = py_t / cy_t if cy_t else float("inf")
+    c_t, c_out = _time(getattr(_kernels, fn_name), *args)
+    assert py_out == c_out, f"{name}: backends disagree ({py_out} vs {c_out})"
+    speedup = py_t / c_t if c_t else float("inf")
     print(f"{name:<36} python {py_t * 1e3:9.2f} ms   "
-          f"cython {cy_t * 1e3:9.2f} ms   x{speedup:,.1f}")
+          f"c {c_t * 1e3:9.2f} ms   x{speedup:,.1f}")
 
 
 def main():

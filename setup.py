@@ -1,15 +1,6 @@
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    ext_modules = cythonize(
-        ["src/singer/_kernels.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pure-Python fallback still works
-    print(f"building without the compiled kernels: {exc}", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package still installs, and
+# singer._backend falls back to the pure-Python kernels
+setup(ext_modules=[Extension("singer._kernels", ["src/singer/_kernels.c"],
+                             optional=True)])

@@ -7,7 +7,7 @@ from ._backend import BACKEND
 from .errors import SingerError, DomainError, CapError, BoundedFailure
 from .groups import (GroupHandle, Cyclic, FieldQuotient, Abelian, Integers,
                      Free, Symmetric, Monomial, parse_group, has_involution)
-from .gf import GF, make_field, field_for_order, singer_divisibility
+from .gf import GF, field_for_order, singer_divisibility
 from .diffsets import (PartialDifferenceSet, differences, verify_partial,
                        verify_perfect, certify, classical_singer,
                        hughes_step, hughes_build, replay_chain)
@@ -21,8 +21,7 @@ from .hyper import (HyperTable, check_axioms, krasner, k_algebra,
                     contains_krasner, hyperfield_to_geometry,
                     geometry_to_hyperfield, classify_extension,
                     tables_isomorphic)
-from .f1 import (F1Space, make_f1_space, singer_first, singer_general,
-                 embed_singer, direct_limit_demo, regular_subgroup_survey,
-                 verify_regular)
+from .f1 import (F1Space, singer_first, singer_general, embed_singer,
+                 direct_limit_demo, regular_subgroup_survey, verify_regular)
 
 __version__ = "1.0.0"

@@ -1,20 +1,12 @@
-"""Kernel backend selection: compiled extension if available, else pure Python.
+"""Kernel backend: the compiled extension `singer._kernels` if it was
+built, else the pure-Python reference kernels in `singer._kernels_py`."""
 
-Set SINGER_PURE_PYTHON=1 to force the fallback (used by the benchmark and
-the backend-equivalence tests)."""
-
-import os
-
-if os.environ.get("SINGER_PURE_PYTHON"):
+try:
+    from . import _kernels as _impl
+    BACKEND = "c"
+except ImportError:
     from . import _kernels_py as _impl
     BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as _impl
-        BACKEND = "python"
 
 assoc_witness = _impl.assoc_witness
 distrib_witness = _impl.distrib_witness

@@ -1,8 +1,9 @@
-"""Pure-Python bitset kernels (fallback for the compiled extension).
+"""Pure-Python bitset kernels: the reference versions, and the fallback
+when the compiled extension is not built.
 
 All set-valued data arrives as Python integer bitmasks; the hot loops are
 the O(c^3) hyperaddition scans and the O(L^2) line-pair scans.  The
-compiled twin in _kernels.pyx implements the same signatures on uint64
+compiled twin in _kernels.c implements the same signatures on uint64
 words; singer._backend picks whichever is importable.
 """
 

@@ -252,8 +252,9 @@ def cmd_verify_only(path, out):
 
 def cmd_verify_only_obj(obj):
     """(report, ok) for one payload object.  Payloads that wrap a
-    difference set under `difference_set` are unwrapped by calling this
-    again; a `hughes` payload's log is replayed and its hash recomputed."""
+    difference set under `difference_set`, or a hypertable under `table`,
+    are unwrapped by calling this again; a `hughes` payload's log is
+    replayed and its hash recomputed."""
     if not isinstance(obj, dict):
         raise DomainError("unrecognized payload shape")
     if "carrier" in obj:
@@ -280,6 +281,8 @@ def cmd_verify_only_obj(obj):
             report["log"] = {"ok": cert.ok, "detail": cert.detail}
             ok = ok and cert.ok
         return report, ok
+    if isinstance(obj.get("table"), dict):
+        return cmd_verify_only_obj(obj["table"])
     raise DomainError("unrecognized payload shape")
 
 

@@ -9,9 +9,10 @@ system whose limit acts on the union of all levels."""
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 
 from .errors import DomainError, CapError
+from . import gf
 from .groups import Monomial, Symmetric
 
 F1_POINT_CAP = 10 ** 4
@@ -39,10 +40,6 @@ class F1Space:
 
     def __repr__(self):
         return f"<f1 space m={self.m} n={self.n}>"
-
-
-def make_f1_space(m, n):
-    return F1Space(m, n)
 
 
 @dataclass
@@ -151,22 +148,11 @@ def affine_group(p, k):
     (Z/p)^x; transitive on p points with cyclic stabilizers of order k."""
     if (p - 1) % k != 0:
         raise DomainError(f"{k} does not divide {p - 1}")
-    g = _primitive_root(p)
+    g = gf.GF(p).primitive_element()
     a0 = pow(g, (p - 1) // k, p)
     shift = tuple((i + 1) % p for i in range(p))
     mult = tuple((a0 * i) % p for i in range(p))
     return perm_closure(p, [shift, mult])
-
-
-def _primitive_root(p):
-    for g in range(2, p):
-        x, seen = g, 1
-        while x != 1:
-            x = x * g % p
-            seen += 1
-        if seen == p - 1:
-            return g
-    raise DomainError(f"{p} is not prime")
 
 
 def _parity(p):
@@ -390,7 +376,7 @@ def regular_subgroup_survey(m, n):
     sp = F1Space(m, n)
     aut = sp.aut
     N = sp.npoints
-    per_slot = (n ** m) * _factorial(m)
+    per_slot = (n ** m) * factorial(m)
     if per_slot * N > SURVEY_CANDIDATE_BUDGET:
         return {"m": m, "n": n, "mode": "structural",
                 "confirmed": True,
@@ -454,10 +440,3 @@ def regular_subgroup_survey(m, n):
             "regular_subgroups": len(unique),
             "confirmed": not bad,
             "counterexamples": bad}
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

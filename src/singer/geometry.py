@@ -407,11 +407,40 @@ def apply_collineation(c, vec):
     return tuple(out)
 
 
+class _Rationals:
+    """The element operations of `gf.GF` for Q, on exact Fractions, so the
+    linear algebra below serves both kinds of field."""
+
+    @staticmethod
+    def add(a, b):
+        return Fraction(a) + b
+
+    @staticmethod
+    def neg(a):
+        return -Fraction(a)
+
+    @staticmethod
+    def sub(a, b):
+        return Fraction(a) - b
+
+    @staticmethod
+    def mul(a, b):
+        return Fraction(a) * b
+
+    @staticmethod
+    def inv(a):
+        return 1 / Fraction(a)
+
+
+RATIONALS = _Rationals()
+
+
 def char_poly(F, A):
-    """det(xI - A) by cofactor expansion; coefficients low-to-high,
-    integer-coded field elements (exact for the small dims used here)."""
+    """det(xI - A) by cofactor expansion; coefficients low-to-high, in the
+    field F (a `gf.GF`, or `RATIONALS`).  Exact for the small dims used
+    here."""
     dim = len(A)
-    # polynomial entries: tuples of field codes, low-to-high
+    # polynomial entries: tuples of field elements, low-to-high
     def padd(f, g):
         n = max(len(f), len(g))
         return tuple(F.add(f[i] if i < len(f) else 0,
@@ -447,42 +476,7 @@ def char_poly(F, A):
     return tuple(poly) + (0,) * (dim + 1 - len(poly))
 
 
-def char_poly_rational(A):
-    dim = len(A)
-
-    def padd(f, g):
-        n = max(len(f), len(g))
-        return tuple((f[i] if i < len(f) else 0)
-                     + (g[i] if i < len(g) else 0) for i in range(n))
-
-    def pmul(f, g):
-        if not f or not g:
-            return ()
-        out = [Fraction(0)] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-        return tuple(out)
-
-    M = [[(Fraction(-A[i][j]),) if i != j else (Fraction(-A[i][j]), Fraction(1))
-          for j in range(dim)] for i in range(dim)]
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            return M[rows[0]][cols[0]]
-        acc = ()
-        r = rows[0]
-        for k, cidx in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = pmul(M[r][cidx], minor)
-            acc = padd(acc, term if k % 2 == 0
-                       else tuple(-t for t in term))
-        return acc
-
-    return det(tuple(range(dim)), tuple(range(dim)))
-
-
-def _nullspace_gf(F, M):
+def _nullspace(F, M):
     """Basis of the nullspace of M over F (list of tuples)."""
     rows = [list(r) for r in M]
     dim = len(rows[0]) if rows else 0
@@ -514,7 +508,7 @@ def _nullspace_gf(F, M):
 
 
 def is_invertible(F, A):
-    return len(_nullspace_gf(F, A)) == 0
+    return len(_nullspace(F, A)) == 0
 
 
 def fixed_points(c):
@@ -526,13 +520,11 @@ def fixed_points(c):
     routes."""
     F = c.field
     if F == "Q":
-        poly = char_poly_rational(c.A)
         pts = []
-        for rho in gf.rational_roots(list(poly)):
-            M = [[Fraction(c.A[i][j]) - (rho if i == j else 0)
+        for rho in gf.rational_roots(char_poly(RATIONALS, c.A)):
+            M = [[RATIONALS.sub(c.A[i][j], rho if i == j else 0)
                   for j in range(c.dim)] for i in range(c.dim)]
-            for vec in _nullspace_rational(M):
-                pts.append(vec)
+            pts.extend(_nullspace(RATIONALS, M))
         return pts
     if not is_invertible(F, c.A):
         raise DomainError("matrix must be invertible")
@@ -542,7 +534,7 @@ def fixed_points(c):
         for rho in gf.roots_in_field(poly, F):
             M = [[F.sub(c.A[i][j], rho if i == j else 0)
                   for j in range(c.dim)] for i in range(c.dim)]
-            basis = _nullspace_gf(F, M)
+            basis = _nullspace(F, M)
             # every projective point of the eigenspace is fixed
             for coeffs in itertools.product(range(F.q), repeat=len(basis)):
                 if not any(coeffs):
@@ -567,34 +559,6 @@ def fixed_points_scan(c):
         if _normalize(F, img) == p:
             pts.append(p)
     return pts
-
-
-def _nullspace_rational(M):
-    rows = [list(map(Fraction, r)) for r in M]
-    dim = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(dim)]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(dim) if c not in pivots):
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------

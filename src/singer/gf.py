@@ -10,6 +10,7 @@ Root finding is an exhaustive scan (the size cap is 2^20); over the
 rationals only the rational root theorem is used.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -117,18 +118,13 @@ def least_irreducible(p, n):
     Low-degree coefficients are compared first."""
     if n == 1:
         return (0, 1)
-    for lows in _lex_tuples(p, n):
+    # itertools.product is lexicographic with the first coordinate most
+    # significant
+    for lows in itertools.product(range(p), repeat=n):
         f = lows + (1,)
         if poly_is_irreducible(f, p):
             return f
     raise DomainError(f"no irreducible of degree {n} over GF({p})")  # unreachable
-
-
-def _lex_tuples(p, n):
-    # lexicographic with the first coordinate most significant
-    import itertools
-    for t in itertools.product(range(p), repeat=n):
-        yield t
 
 
 class GF:
@@ -263,10 +259,6 @@ class GF:
         return hash((self.p, self.n, self.modulus))
 
 
-def make_field(p, n):
-    return GF(p, n)
-
-
 def field_for_order(q):
     p, k = factor_prime_power(q)
     return GF(p, k)
@@ -279,16 +271,9 @@ def roots_in_field(coeffs, F):
     coeffs = tuple(coeffs)
     if not any(coeffs):
         raise DomainError("zero polynomial")
-    if len(poly_trim_codes(coeffs)) - 1 < 1:
+    if len(poly_trim(coeffs)) - 1 < 1:
         raise DomainError("degree must be >= 1")
     return [a for a in F.elements() if F.eval_poly(coeffs, a) == 0]
-
-
-def poly_trim_codes(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
 
 
 def rational_roots(coeffs):

@@ -18,17 +18,7 @@ import itertools
 import string
 
 from .errors import DomainError, CapError
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .gf import is_prime
 
 
 class GroupHandle:
@@ -138,7 +128,7 @@ class FieldQuotient(Cyclic):
     kind = "field-quotient"
 
     def __init__(self, p, n, m):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         if n < 1 or m < 1:
             raise DomainError("degrees must be >= 1")

@@ -123,6 +123,15 @@ def test_f1_general_fiber_groups(capsys):
     assert code == 1  # stabilizer of S_4 has order 6, not 2
 
 
+def test_f1_affine_needs_prime_degree(capsys):
+    # affine:k acts on the m+1 residues mod m+1, which must be a prime
+    obj = payload(["f1", "--m", "1", "--n", "1", "--S", "affine:1"], capsys)
+    assert obj["order"] == 2 and obj["regular"]["regular"]
+    code, out, err = run(["f1", "--m", "3", "--n", "1", "--S", "affine:1"],
+                         capsys)
+    assert code == 1 and out == "" and err == "error: 4 is not prime\n"
+
+
 def test_f1_chain(capsys):
     obj = payload(["f1", "--m", "2", "--chain", "1,2,4"], capsys)
     assert obj["limit"]["coherent"] is True
@@ -166,6 +175,14 @@ def test_verify_only_roundtrips(tmp_path, capsys):
     table_file.write_text(json.dumps(obj["table"]))
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
     assert code == 0 and json.loads(out)["kind"] == "hypertable"
+    # a whole `hyper` payload is re-checked through its `table`
+    payload(["--out", str(table_file), "hyper", "kalg", "--n", "4"], capsys)
+    code, out, _ = run(["--verify-only", str(table_file)], capsys)
+    assert code == 0 and json.loads(out)["kind"] == "hypertable"
+    # a `lemma` payload's table is a list, which no re-check covers yet
+    payload(["--out", str(table_file), "lemma", "--p", "2"], capsys)
+    code, out, _ = run(["--verify-only", str(table_file)], capsys)
+    assert code == 1 and out == ""
 
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -241,8 +242,31 @@ def test_semilinear_scan():
 
 
 def test_rational_fixed_points():
-    c = geo.Collineation("Q", [[0, 1], [1, 0]])
-    assert len(geo.fixed_points(c)) == 2
+    # one basis vector of each rational eigenspace, as computed before the
+    # rational and finite-field routines were merged
+    for A, points in [
+            ([[0, 1], [1, 0]], [(-1, 1), (1, 1)]),
+            ([[2, 0, 0], [0, 2, 0], [0, 0, 3]],
+             [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            ([[1, 1], [0, 1]], [(1, 0)]),
+            ([[0, -1], [1, 0]], [])]:
+        assert geo.fixed_points(geo.Collineation("Q", A)) == points
+
+
+@pytest.mark.parametrize("field,A,poly", [
+    ("Q", [[0, 1], [1, 0]], (-1, 0, 1)),
+    ("Q", [[2, Fraction(1, 2), 0], [1, -3, 4], [Fraction(-2, 3), 5, 1]],
+     (Fraction(287, 6), Fraction(-55, 2), 0, 1)),
+    ("Q", [[1, 2, 3, 4], [0, 1, 0, 2], [5, 0, -1, 1], [1, 1, 1, 0]],
+     (34, -9, -23, -1, 1)),
+    ((3, 1), [[0, 1], [1, 1]], (2, 2, 1)),
+    ((3, 1), [[1, 2, 0], [2, 2, 1], [0, 1, 2]], (2, 0, 1, 1)),
+    ((2, 2), [[0, 1], [1, 1]], (1, 1, 1)),
+    ((2, 2), [[2, 3, 1], [1, 0, 2], [3, 3, 0]], (2, 1, 2, 1)),
+])
+def test_char_poly_pinned(field, A, poly):
+    F = geo.RATIONALS if field == "Q" else gf.GF(*field)
+    assert geo.char_poly(F, A) == poly
 
 
 # ---------------------------------------------------------------------------
