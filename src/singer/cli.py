@@ -111,7 +111,7 @@ def cmd_hyper(args):
         T = hyper.k_algebra(Cyclic(args.n))
         payload, rep = _table_report(T)
         if rep.passed():
-            payload["classification"] = hyper.classify_extension(T)
+            payload["classification"] = hyper.classify_extension(T, rep)
     elif args.hyper_cmd == "quotient":
         T = _quotient_from_args(args)
         payload, rep = _table_report(T)
@@ -122,22 +122,25 @@ def cmd_hyper(args):
             _emit(payload, args.out)
             return EXIT_VERIFY
         if hyper.is_k_vectorspace(T):
-            payload["classification"] = hyper.classify_extension(T)
+            payload["classification"] = hyper.classify_extension(T, rep)
     elif args.hyper_cmd == "classify":
         T = _load_table(args)
         payload, rep = _table_report(T)
-        payload["classification"] = hyper.classify_extension(T)
+        payload["classification"] = hyper.classify_extension(T, rep)
     else:  # roundtrip
         T = _quotient_from_args(args)
         payload, rep = _table_report(T)
-        gamma = hyper.hyperfield_to_geometry(T)
-        pcert = geometry.verify_plane(gamma)
+        plane_ok = True
+        if args.ext == 3:
+            # GF(q^m)/GF(q)^x is PG(m-1, q): a plane only for m = 3
+            pcert = geometry.verify_plane(hyper.hyperfield_to_geometry(T))
+            payload["plane_certificate"] = pcert.to_json()
+            plane_ok = pcert.ok
         back = hyper.roundtrip_table(T)
         same = hyper.tables_equal(T, back)
-        payload["plane_certificate"] = pcert.to_json()
         payload["roundtrip_exact"] = same
         _emit(payload, args.out)
-        if rep.passed() and pcert.ok and same:
+        if rep.passed() and plane_ok and same:
             _log("roundtrip exact; all certificates passed")
             return EXIT_OK
         _log("roundtrip verification failure")
@@ -270,6 +273,8 @@ def cmd_verify_only_obj(obj):
         gamma = geometry.IncidenceStructure.from_json(obj)
         cert = geometry.verify_plane(gamma)
         return {"kind": "plane", "certificate": cert.to_json()}, cert.ok
+    if "space" in obj and "difference_set" in obj:
+        return _verify_singer_space(obj)
     if "difference_set" in obj:
         report, ok = cmd_verify_only_obj(obj["difference_set"])
         if "log" in obj or "log_hash" in obj:
@@ -284,6 +289,31 @@ def cmd_verify_only_obj(obj):
     if isinstance(obj.get("table"), dict):
         return cmd_verify_only_obj(obj["table"])
     raise DomainError("unrecognized payload shape")
+
+
+def _verify_singer_space(obj):
+    """A `classical --m >= 3` payload.  Its hyperplane set is not a
+    lambda = 1 set, so instead the set and the space must equal the ones
+    rebuilt from the space's (q, m), and the cyclic group must still act
+    regularly on the payload's space, preserving its lines."""
+    gamma = geometry.IncidenceStructure.from_json(obj["space"])
+    q, m = gamma.meta.get("q"), gamma.meta.get("m")
+    if type(q) is not int or type(m) is not int:
+        raise DomainError("space meta needs integers q and m")
+    G, pds = diffsets.classical_singer(q, m)
+    report = {
+        "kind": "singer-space",
+        "difference_set_matches": obj["difference_set"] == pds.to_json(),
+        "space_matches": (
+            obj["space"] == geometry.pg_singer_structure(q, m).to_json()),
+    }
+    ok = report["difference_set_matches"] and report["space_matches"]
+    if ok:
+        acert = geometry.verify_singer_action(
+            gamma, G, geometry.right_translation_action(G))
+        report["action"] = {"ok": acert.ok, "detail": acert.detail}
+        ok = acert.ok
+    return report, ok
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ asserted along the way.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
 from .errors import DomainError, BoundedFailure
-from .groups import parse_group, has_involution
+from .groups import parse_group, has_involution, FieldQuotient
 from . import gf
 
 DEFAULT_SEARCH_BOUND = 10 ** 5
@@ -41,6 +42,11 @@ class PartialDifferenceSet:
 
     @staticmethod
     def from_json(obj):
+        if not (isinstance(obj, dict) and isinstance(obj.get("group"), str)
+                and isinstance(obj.get("elements"), list)
+                and all(isinstance(s, str) for s in obj["elements"])):
+            raise DomainError("a difference set needs a group spec and a "
+                              "list of element strings")
         G = parse_group(obj["group"])
         els = tuple(G.parse(s) for s in obj["elements"])
         return PartialDifferenceSet(G, els, bool(obj.get("certified", False)))
@@ -142,35 +148,18 @@ def classical_singer(q, m):
     if m < 1:
         raise DomainError("dimension must be >= 1")
     F = gf.GF(p, a * (m + 1))
-    N = F.q - 1
+    _, exp, log = gf.log_tables(F)
     v = (q ** (m + 1) - 1) // (q - 1)
-    g = F.primitive_element()
-    # discrete logs
-    log = {}
-    x = 1
-    for i in range(N):
-        log[x] = i
-        x = F.mul(x, g)
-    # GF(q) inside F: {0} plus the order-(q-1) subgroup of F^x
-    if q == 2:
-        subfield = [0, 1]
-    else:
-        s = F.pow(g, N // (q - 1))
-        subfield = [0, 1]
-        y = s
-        while y != 1:
-            subfield.append(y)
-            y = F.mul(y, s)
-    basis = [F.pow(g, i) for i in range(m)]
+    # GF(q) inside F: {0} plus the order-(q-1) subgroup <g^v> of F^x
+    subfield = [0] + [exp[k * v] for k in range(q - 1)]
+    basis = exp[:m]
     S = set()
-    import itertools
     for coeffs in itertools.product(subfield, repeat=m):
         h = 0
         for c, b in zip(coeffs, basis):
             h = F.add(h, F.mul(c, b))
         if h != 0:
             S.add(log[h] % v)
-    from .groups import FieldQuotient
     G = FieldQuotient(p, a, m + 1)
     pds = PartialDifferenceSet(G, tuple(sorted(S)))
     if m == 2:

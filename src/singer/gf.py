@@ -11,6 +11,7 @@ rationals only the rational root theorem is used.
 """
 
 import itertools
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,6 +29,21 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def factor_prime_power(q):
@@ -229,11 +245,11 @@ class GF:
         return k
 
     def primitive_element(self):
-        """Least element (enumeration order) of multiplicative order q-1."""
-        if self.q == 2:
-            return 1
+        """Least element (enumeration order) of multiplicative order q-1:
+        the least a with a^((q-1)/r) != 1 for every prime r dividing q-1."""
+        cofactors = [(self.q - 1) // r for r in prime_divisors(self.q - 1)]
         for a in range(1, self.q):
-            if self.mult_order(a) == self.q - 1:
+            if all(self.pow(a, c) != 1 for c in cofactors):
                 return a
         raise DomainError("no primitive element found")  # unreachable
 
@@ -257,6 +273,27 @@ class GF:
 
     def __hash__(self):
         return hash((self.p, self.n, self.modulus))
+
+
+@lru_cache(maxsize=4)
+def log_tables(F):
+    """(g, exp, log) for the field F, with g its primitive element.
+
+    exp[i] = g^i for 0 <= i < q-1 and log[exp[i]] = i, both indexed by
+    element code; log[0] is -1, since 0 has no logarithm.  These are the
+    discrete logs behind every Singer indexing: PG(m, q) puts its points at
+    the powers of g in GF(q^{m+1}) modulo GF(q)^x.  The arrays are shared
+    through the cache, so callers only read them."""
+    g = F.primitive_element()
+    N = F.q - 1
+    exp = array("i", [0]) * N
+    log = array("i", [-1]) * F.q
+    x = 1
+    for i in range(N):
+        exp[i] = x
+        log[x] = i
+        x = F.mul(x, g)
+    return g, exp, log
 
 
 def field_for_order(q):

@@ -27,18 +27,20 @@ class HyperTable:
         n = len(labels)
         if n > CARRIER_CAP:
             raise CapError(f"carrier cap {CARRIER_CAP} exceeded")
-        if not (0 <= zero < n and 0 <= one < n):
+        if not (_is_index(zero, n) and _is_index(one, n)):
             raise DomainError("zero/one out of range")
         self.labels = list(labels)
         self.n = n
         self.zero = zero
         self.one = one
-        self.mul = [list(row) for row in mul]
-        self.hyperadd = [list(row) for row in hyperadd]
+        self.mul = _square(mul, n, "mul")
+        if not all(_is_index(x, n) for row in self.mul for x in row):
+            raise DomainError("products must be carrier indices")
+        self.hyperadd = _square(hyperadd, n, "hyperadd")
         full = (1 << n) - 1
         for row in self.hyperadd:
             for m in row:
-                if m == 0 or m & ~full:
+                if type(m) is not int or m <= 0 or m & ~full:
                     raise DomainError("hyperaddition values must be nonempty "
                                       "subsets of the carrier")
 
@@ -62,14 +64,39 @@ class HyperTable:
 
     @staticmethod
     def from_json(obj):
+        keys = ("carrier", "zero", "one", "mul", "hyperadd")
+        if not (isinstance(obj, dict) and all(k in obj for k in keys)):
+            raise DomainError("a hypertable needs " + ", ".join(keys))
+        if not isinstance(obj["carrier"], list):
+            raise DomainError("the carrier must be a list of labels")
         n = len(obj["carrier"])
-        hyperadd = [[sum(1 << k for k in cell) for cell in row]
-                    for row in obj["hyperadd"]]
+        hyperadd = []
+        for row in _square(obj["hyperadd"], n, "hyperadd"):
+            masks = []
+            for cell in row:
+                if not (isinstance(cell, list)
+                        and all(_is_index(k, n) for k in cell)):
+                    raise DomainError(f"hypersum {cell!r} is not a list of "
+                                      f"carrier indices")
+                masks.append(sum(1 << k for k in set(cell)))
+            hyperadd.append(masks)
         return HyperTable(obj["carrier"], obj["zero"], obj["one"],
                           obj["mul"], hyperadd)
 
     def __repr__(self):
         return f"<hypertable n={self.n}>"
+
+
+def _is_index(x, n):
+    return type(x) is int and 0 <= x < n
+
+
+def _square(rows, n, name):
+    """`rows` as a list of n lists of n entries, or DomainError."""
+    if not (isinstance(rows, (list, tuple)) and len(rows) == n and all(
+            isinstance(r, (list, tuple)) and len(r) == n for r in rows)):
+        raise DomainError(f"{name} must be an {n}x{n} table")
+    return [list(r) for r in rows]
 
 
 @dataclass
@@ -616,11 +643,13 @@ def _backtrack_iso(T1, T2):
     return None
 
 
-def classify_extension(T, max_q=16):
+def classify_extension(T, rep=None, max_q=16):
     """Place a finite hyperfield extension of the two-element hyperfield:
     (i) single-line group algebra, (ii) finite-field unit quotient, or the
-    fallback 'plane-other' with the geometry as evidence."""
-    rep = check_axioms(T)
+    fallback 'plane-other' with the geometry as evidence.  `rep` is T's
+    `check_axioms` report, when the caller already has it."""
+    if rep is None:
+        rep = check_axioms(T)
     if not rep.passed():
         raise DomainError(f"not a hyperfield: {rep.to_json()['axioms']}")
     if not is_k_vectorspace(T):

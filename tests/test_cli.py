@@ -31,6 +31,17 @@ def test_classical_higher_dimension(capsys):
     assert obj["action_regular"]
     assert obj["space"]["points"] == 15
     assert obj["difference_set"]["certified"] is False
+    # a prime-power q: PG(3, 4) from the logs of GF(4^4)
+    obj = payload(["classical", "--q", "4", "--m", "3"], capsys)
+    assert obj["action_regular"] and obj["space"]["points"] == 85
+    assert len(obj["space"]["lines"]) == 357
+
+
+def test_classical_space_stdout_pinned(capsys):
+    code, out, _ = run(["classical", "--q", "5", "--m", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c8279716706550e6a1651d5bdb3753957e3b40ed2cdbdf06ed10ddd3f6066f01")
 
 
 def test_classical_bad_order(capsys):
@@ -96,6 +107,27 @@ def test_hyper_roundtrip(capsys):
     obj = payload(["hyper", "roundtrip", "--p", "3", "--ext", "3"], capsys)
     assert obj["roundtrip_exact"] is True
     assert obj["plane_certificate"]["order"] == 3
+    # GF(3^m)/GF(3)^x is PG(m-1, 3): one line for m = 2, a solid for m = 4,
+    # so only m = 3 carries a plane certificate
+    for ext in ("2", "4"):
+        obj = payload(["hyper", "roundtrip", "--p", "3", "--ext", ext],
+                      capsys)
+        assert obj["roundtrip_exact"] is True
+        assert obj["axioms"]["hyperfield"] is True
+        assert "plane_certificate" not in obj
+
+
+def test_hyper_checks_axioms_once(capsys, monkeypatch):
+    from singer import hyper
+    calls = []
+    check = hyper.check_axioms
+    monkeypatch.setattr(hyper, "check_axioms",
+                        lambda T: calls.append(T) or check(T))
+    for argv in (["hyper", "kalg", "--n", "5"],
+                 ["hyper", "quotient", "--p", "3", "--ext", "3"]):
+        calls.clear()
+        obj = payload(argv, capsys)
+        assert "classification" in obj and len(calls) == 1
 
 
 def test_hyper_classify_from_file(tmp_path, capsys):
@@ -184,6 +216,36 @@ def test_verify_only_roundtrips(tmp_path, capsys):
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
     assert code == 1 and out == ""
 
+    # a `classical --m >= 3` payload is rebuilt from its (q, m), and the
+    # action is re-certified on its space
+    space_file = tmp_path / "space.json"
+    for q in ("2", "5", "4"):
+        obj = payload(["--out", str(space_file), "classical", "--q", q,
+                       "--m", "3"], capsys)
+        code, out, _ = run(["--verify-only", str(space_file)], capsys)
+        rep = json.loads(out)
+        assert code == 0 and rep["kind"] == "singer-space"
+        assert rep["action"]["ok"]
+    v = obj["space"]["points"]
+
+    def other(values):
+        return next(x for x in range(v) if x not in values)
+
+    def move_point(o):
+        line = o["space"]["lines"][0]
+        line[-1] = other(line)
+
+    def move_element(o):
+        els = o["difference_set"]["elements"]
+        els[-1] = str(other([int(x) for x in els]))
+
+    for edit in (move_point, move_element):
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        space_file.write_text(json.dumps(bad))
+        code, out, _ = run(["--verify-only", str(space_file)], capsys)
+        assert code == 2 and json.loads(out)["kind"] == "singer-space"
+
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert cli.main(["--verify-only", str(bad)]) == 1
@@ -246,3 +308,38 @@ def test_out_flag_writes_identical_payload(tmp_path, capsys):
                           capsys)
     assert code == 0
     assert out.read_text() == stdout
+
+
+def test_malformed_payloads_refused(tmp_path, capsys):
+    """Shape, type and range errors in a payload: exit 1 and one `error:`
+    line, never a traceback."""
+    table = payload(["hyper", "kalg", "--n", "4"], capsys)["table"]
+    obj = payload(["classical", "--q", "2"], capsys)
+    plane, ds = obj["plane"], obj["difference_set"]
+
+    def edited(obj, edit):
+        obj = json.loads(json.dumps(obj))
+        edit(obj)
+        return obj
+
+    cases = [
+        edited(table, lambda t: t["mul"][1].pop()),
+        edited(table, lambda t: t["mul"][1].__setitem__(1, 99)),
+        edited(table, lambda t: t.pop("zero")),
+        edited(table, lambda t: t["hyperadd"][1].__setitem__(2, "ab")),
+        edited(table, lambda t: t["hyperadd"][1][2].append("a")),
+        edited(plane, lambda p: p["lines"][0].__setitem__(0, "0")),
+        edited(plane, lambda p: p["lines"][0].__setitem__(0, 0.0)),
+        edited(plane, lambda p: p.__setitem__("lines", 5)),
+        edited(ds, lambda d: d.__setitem__("elements", 5)),
+    ]
+    path = tmp_path / "bad.json"
+    for obj in cases:
+        path.write_text(json.dumps(obj))
+        code, out, err = run(["--verify-only", str(path)], capsys)
+        assert code == 1 and out == "", obj
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    # the same checks guard `hyper classify --in`
+    path.write_text(json.dumps(cases[0]))
+    code, out, err = run(["hyper", "classify", "--in", str(path)], capsys)
+    assert code == 1 and err.startswith("error:")

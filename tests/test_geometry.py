@@ -141,8 +141,61 @@ def test_pg_singer_structure():
     G15 = Cyclic(15)
     assert geo.verify_singer_action(solid, G15,
                                     geo.right_translation_action(G15)).ok
-    with pytest.raises(DomainError):
-        geo.pg_singer_structure(4, 2)
+    # a prime-power q: the lines are 2-spaces over GF(4) inside GF(64)
+    assert geo.verify_plane(geo.pg_singer_structure(4, 2)).order == 4
+
+
+def _singer_coordinates(q, m):
+    """Point i of `pg_singer_structure(q, m)` as its index in `pg_space`:
+    the normalised coordinates of g^i over the prime field GF(q)."""
+    F, Fq = gf.GF(q, m + 1), gf.GF(q)
+    index = {vec: i for i, vec in enumerate(geo._proj_points(Fq, m + 1))}
+    g = F.primitive_element()
+    coords, x = [], 1
+    for _ in range((q ** (m + 1) - 1) // (q - 1)):
+        coords.append(index[geo._normalize(Fq, F.to_coeffs(x))])
+        x = F.mul(x, g)
+    return coords
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
+                                 (2, 4)])
+def test_pg_singer_structure_matches_pg_space(q, m):
+    gamma, ref = geo.pg_singer_structure(q, m), geo.pg_space(m, q)
+    coords = _singer_coordinates(q, m)
+    assert sorted(coords) == list(range(ref.npoints))
+    assert sorted(tuple(sorted(coords[p] for p in l))
+                  for l in gamma.lines) == ref.lines
+
+
+@pytest.mark.parametrize("q,m", [(4, 2), (8, 2), (9, 2), (4, 3)])
+def test_pg_singer_structure_prime_power(q, m):
+    """Lines are closed under adding representatives (so they are 2-spaces
+    over GF(q)), and each pair of points lies on exactly one line."""
+    gamma = geo.pg_singer_structure(q, m)
+    p, a = gf.factor_prime_power(q)
+    F = gf.GF(p, a * (m + 1))
+    v = gamma.npoints
+    assert v == (q ** (m + 1) - 1) // (q - 1)
+    assert gamma.nlines == v * (v - 1) // (q * (q + 1))
+    g = F.primitive_element()
+    powers, x = [], 1
+    for _ in range(F.q - 1):
+        powers.append(x)
+        x = F.mul(x, g)
+    point = {y: i % v for i, y in enumerate(powers)}
+    pairs = set()
+    for line in gamma.lines:
+        assert len(line) == q + 1
+        for x, y in itertools.permutations(line, 2):
+            pairs.add((x, y))
+            # the representatives of y are g^(y + kv), k < q - 1
+            for k in range(q - 1):
+                s = F.add(powers[x], powers[y + k * v])
+                assert point[s] in line
+    assert len(pairs) == v * (v - 1)
+    if m == 2:
+        assert geo.verify_plane(gamma).order == q
 
 
 def test_classical_plane_matches_pg():
@@ -309,3 +362,7 @@ def test_incidence_validation():
         geo.IncidenceStructure(3, [(0, 5)])
     with pytest.raises(DomainError):
         geo.IncidenceStructure(3, [(0, 1), (0, 1)])
+    for points, lines in ((3, [(0, "1")]), (3, [(0, 1.0)]), (3, 5),
+                          (3, [5]), (3, [(0, 0, 1)]), (-1, []), ("3", [])):
+        with pytest.raises(DomainError):
+            geo.IncidenceStructure(points, lines)

@@ -47,6 +47,33 @@ def test_primitive_elements():
     assert F.mult_order(g) == 8
 
 
+def test_primitive_element_is_least_of_full_order():
+    # the prime-divisor test against the order walk, on every field of
+    # order at most 1000
+    for p in range(2, 1001):
+        if not gf.is_prime(p):
+            continue
+        n = 1
+        while p ** n <= 1000:
+            F = gf.GF(p, n)
+            least = next(a for a in range(1, F.q)
+                         if F.mult_order(a) == F.q - 1)
+            assert F.primitive_element() == least, (p, n)
+            n += 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2)])
+def test_log_tables(p, n):
+    F = gf.GF(p, n)
+    g, exp, log = gf.log_tables(F)
+    assert g == F.primitive_element()
+    assert gf.log_tables(gf.GF(p, n)) is gf.log_tables(F)  # cached
+    assert log[0] == -1
+    for i in range(F.q - 1):
+        assert exp[i] == F.pow(g, i) and log[exp[i]] == i
+    assert sorted(exp) == list(range(1, F.q))
+
+
 @pytest.mark.parametrize("p,n", [(2, k) for k in range(1, 13)]
                          + [(3, k) for k in range(1, 8)]
                          + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)])

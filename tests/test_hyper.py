@@ -38,6 +38,16 @@ def test_hypertable_validation():
                          [[0b01, 0b10], [0b10, 0]])  # empty sum
     with pytest.raises(CapError):
         hyper.k_algebra(Cyclic(300))
+    good = hyper.krasner().to_json()
+    for key, value in (("mul", [[0, 0], [0]]), ("mul", [[0, 0], [0, 2]]),
+                       ("mul", [[0, 0], [0, True]]), ("zero", "0"),
+                       ("hyperadd", [[[0], [1]], [[1], ["0"]]]),
+                       ("hyperadd", [[[0], [1]], [[1], 1]]),
+                       ("carrier", "01")):
+        with pytest.raises(DomainError):
+            hyper.HyperTable.from_json(dict(good, **{key: value}))
+    with pytest.raises(DomainError):
+        hyper.HyperTable.from_json({"carrier": ["0"]})
 
 
 def test_k_algebra_c3_values_and_defect():
@@ -168,6 +178,10 @@ def test_classify_extension():
     assert deg["case"] == "field-quotient" and deg["q"] is None
     with pytest.raises(DomainError):
         hyper.classify_extension(hyper.field_quotient_table(2, 3))
+    # a failing table still raises when the caller hands in its report
+    T = hyper.k_algebra(Cyclic(3))
+    with pytest.raises(DomainError, match="not a hyperfield"):
+        hyper.classify_extension(T, hyper.check_axioms(T))
 
 
 def test_json_roundtrip():
