@@ -218,21 +218,27 @@ def cmd_f1(args):
 
 # ---------------------------------------------------------------------------
 
-def cmd_lemma(args):
-    if not gf.is_prime(args.p):
-        raise DomainError(f"{args.p} is not prime")
+def _lemma_table(p, top):
+    """(table, failures) of the divisibility sweep over i | j <= top."""
+    if not gf.is_prime(p):
+        raise DomainError(f"{p} is not prime")
     table = []
     failures = []
-    for j in range(1, args.max + 1):
+    for j in range(1, top + 1):
         for i in range(1, j + 1):
             if j % i != 0:
                 continue
-            divides = gf.singer_divisibility(args.p, i, j)
+            divides = gf.singer_divisibility(p, i, j)
             asserted = gcd(j // i, 3) == 1
             table.append({"i": i, "j": j, "divides": divides,
                           "asserted": asserted})
             if asserted and not divides:
                 failures.append({"i": i, "j": j})
+    return table, failures
+
+
+def cmd_lemma(args):
+    table, failures = _lemma_table(args.p, args.max)
     payload = {"p": args.p, "max": args.max, "table": table,
                "failures": failures}
     _emit(payload, args.out)
@@ -288,7 +294,21 @@ def cmd_verify_only_obj(obj):
         return report, ok
     if isinstance(obj.get("table"), dict):
         return cmd_verify_only_obj(obj["table"])
+    if isinstance(obj.get("table"), list) and "failures" in obj:
+        return _verify_lemma(obj)
     raise DomainError("unrecognized payload shape")
+
+
+def _verify_lemma(obj):
+    """A `lemma` payload: its table and failures must equal the ones
+    recomputed from its `p` and `max`."""
+    p, top = obj.get("p"), obj.get("max")
+    if type(p) is not int or type(top) is not int:
+        raise DomainError("a lemma payload needs integers p and max")
+    table, failures = _lemma_table(p, top)
+    report = {"kind": "lemma", "table_matches": obj["table"] == table,
+              "failures_match": obj["failures"] == failures}
+    return report, report["table_matches"] and report["failures_match"]
 
 
 def _verify_singer_space(obj):

@@ -9,11 +9,12 @@ system whose limit acts on the union of all levels."""
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial, gcd
+from math import factorial
 
 from .errors import DomainError, CapError
 from . import gf
-from .groups import Monomial, Symmetric
+from .groups import (Monomial, Symmetric, closure, cyclic_generator,
+                     subgroup_generators)
 
 F1_POINT_CAP = 10 ** 4
 SURVEY_CANDIDATE_BUDGET = 8000
@@ -68,11 +69,17 @@ class RegularityCertificate:
 
 
 def verify_regular(action):
-    """Exhaustive sharp-transitivity check: every ordered point pair has
-    exactly one mover."""
+    """Sharp-transitivity check: every ordered point pair has exactly one
+    mover.
+
+    The elements must form a subgroup H of order N = |points|.  Then the
+    movers of (p, q) are a coset of the stabilizer of p or empty, so every
+    pair has one mover iff the orbit of points[0] has N points; otherwise
+    the first pair with another count is (points[0], points[0]), with the
+    stabilizer's N / |orbit| movers (DECISIONS.md, "Subgroups from
+    generators")."""
     sp = action.space
     aut = sp.aut
-    pidx = {p: k for k, p in enumerate(sp.points)}
     N = sp.npoints
     for g in action.elements:
         aut.validate(g)
@@ -82,45 +89,34 @@ def verify_regular(action):
         return RegularityCertificate(
             False, {"reason": "order != points",
                     "order": action.order, "points": N})
-    counts = [[0] * N for _ in range(N)]
-    for g in action.elements:
-        for k, p in enumerate(sp.points):
-            counts[k][pidx[aut.act(g, p)]] += 1
-    for a in range(N):
-        for b in range(N):
-            if counts[a][b] != 1:
-                return RegularityCertificate(
-                    False, {"reason": "pair with mover count != 1",
-                            "pair": [list(sp.points[a]), list(sp.points[b])],
-                            "count": counts[a][b]})
-    els = set(action.elements)
-    for g in action.elements:
-        for h in action.elements:
-            if aut.mul(g, h) not in els:
-                return RegularityCertificate(
-                    False, {"reason": "not closed under composition"})
+    if subgroup_generators(aut.mul, aut.identity, action.elements) is None:
+        return RegularityCertificate(
+            False, {"reason": "not closed under composition"})
+    p0 = sp.points[0]
+    orbit = {aut.act(g, p0) for g in action.elements}
+    if len(orbit) != N:
+        return RegularityCertificate(
+            False, {"reason": "pair with mover count != 1",
+                    "pair": [list(p0), list(p0)],
+                    "count": N // len(orbit)})
     return RegularityCertificate(True, {"order": N})
 
 
 # ---------------------------------------------------------------------------
 # permutation-group helpers (image-tuple convention from groups.Symmetric)
 
+def _symmetric(degree, perms):
+    """S_degree, after checking that every entry of perms is in it."""
+    S = Symmetric(degree)
+    for g in perms:
+        S.validate(g)
+    return S
+
+
 def perm_closure(degree, generators):
     """Subgroup of S_degree generated by the given image tuples."""
-    S = Symmetric(degree)
-    for g in generators:
-        S.validate(g)
-    e = S.identity
-    group = {e}
-    frontier = [e]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = S.mul(x, g)
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return sorted(group)
+    S = _symmetric(degree, generators)
+    return sorted(closure(S.mul, generators, [S.identity]))
 
 
 def cyclic_shift_group(degree):
@@ -170,7 +166,8 @@ def is_sharply_transitive(degree, perms):
     images = {g[0] for g in perms}
     if len(images) != degree:
         return False
-    return set(perm_closure(degree, perms)) == set(perms)
+    S = _symmetric(degree, perms)
+    return subgroup_generators(S.mul, S.identity, perms) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +197,8 @@ def singer_general(S, n=None):
     the group is then monomial, and the resulting action is regular."""
     S = list(S)
     degree = len(S[0])
-    Sym = Symmetric(degree)
-    if set(perm_closure(degree, S)) != set(S):
+    Sym = _symmetric(degree, S)
+    if subgroup_generators(Sym.mul, Sym.identity, S) is None:
         raise DomainError("input is not closed under composition")
     if {g[0] for g in S} != set(range(degree)):
         raise DomainError("group is not transitive")
@@ -210,15 +207,7 @@ def singer_general(S, n=None):
         n = len(stab)
     if len(stab) != n:
         raise DomainError(f"stabilizer has order {len(stab)}, expected {n}")
-    sigma = None
-    for c in sorted(stab):
-        x, seen = c, 1
-        while x != Sym.identity:
-            x = Sym.mul(x, c)
-            seen += 1
-        if seen == len(stab):
-            sigma = c
-            break
+    sigma = cyclic_generator(Sym.mul, Sym.identity, sorted(stab))
     if sigma is None:
         raise DomainError("point stabilizer is not cyclic")
     m = degree - 1
@@ -275,33 +264,44 @@ def embed_singer(m, i, j, S=None):
     r = j // i
     Ai = singer_first(m, i, S)
     Aj = singer_first(m, j, S)
-    autj = Aj.space.aut
-    gmap = {}
-    for (s, tw) in Ai.elements:
-        gmap[(s, tw)] = (s, tuple(t * r for t in tw))
+    gmap = {(s, tw): (s, tuple(t * r for t in tw)) for (s, tw) in Ai.elements}
     pmap = {(f, t): (f, t * r) for (f, t) in Ai.space.points}
-    elsj = set(Aj.elements)
-    detail = {"m": m, "i": i, "j": j,
+    return certify_embedding(Ai, Aj, gmap, pmap)
+
+
+def certify_embedding(Ai, Aj, gmap, pmap):
+    """Whether gmap is an injective homomorphism from Ai's group into Aj's
+    and pmap is equivariant along it.
+
+    Both are checked against generators T of Ai's group only: phi(a*t) =
+    phi(a)*phi(t) for all a and all t in T makes phi a homomorphism, and
+    equivariance for a homomorphism passes from g and h to g*h
+    (DECISIONS.md, "Subgroups from generators").  A source that is not a
+    group, or is trivial (T empty), is checked on every pair."""
+    auti, autj = Ai.space.aut, Aj.space.aut
+    detail = {"m": Ai.space.m, "i": Ai.space.n, "j": Aj.space.n,
               "order_from": Ai.order, "order_to": Aj.order}
+    T = (subgroup_generators(auti.mul, auti.identity, Ai.elements)
+         or Ai.elements)
+    elsj = set(Aj.elements)
     if len(set(gmap.values())) != len(gmap):
         return EmbeddingCertificate(False, dict(detail, reason="not injective"))
     for g in gmap.values():
         if g not in elsj:
             return EmbeddingCertificate(
                 False, dict(detail, reason="image leaves the target group"))
-    auti = Ai.space.aut
     for a in Ai.elements:
-        for b in Ai.elements:
-            if gmap[auti.mul(a, b)] != autj.mul(gmap[a], gmap[b]):
+        for t in T:
+            if gmap[auti.mul(a, t)] != autj.mul(gmap[a], gmap[t]):
                 return EmbeddingCertificate(
                     False, dict(detail, reason="not a homomorphism",
-                                pair=[auti.canon(a), auti.canon(b)]))
-    for g in Ai.elements:
+                                pair=[auti.canon(a), auti.canon(t)]))
+    for t in T:
         for p in Ai.space.points:
-            if pmap[auti.act(g, p)] != autj.act(gmap[g], pmap[p]):
+            if pmap[auti.act(t, p)] != autj.act(gmap[t], pmap[p]):
                 return EmbeddingCertificate(
                     False, dict(detail, reason="not equivariant",
-                                witness=[auti.canon(g), list(p)]))
+                                witness=[auti.canon(t), list(p)]))
     return EmbeddingCertificate(True, detail, gmap, pmap)
 
 
@@ -349,18 +349,8 @@ def fiber_stabilizer_cyclic(space, elements):
     order n (the structural shape produced by the coset construction)."""
     aut = space.aut
     stab = [g for g in elements if g[0][0] == 0]
-    if len(stab) != space.n:
-        return False
-    for c in stab:
-        x, seen = c, 1
-        while x != aut.identity:
-            x = aut.mul(x, c)
-            seen += 1
-            if seen > len(stab):
-                break
-        if seen == len(stab):
-            return True
-    return space.n == 1 and stab == [aut.identity]
+    return (len(stab) == space.n
+            and cyclic_generator(aut.mul, aut.identity, stab) is not None)
 
 
 def regular_subgroup_survey(m, n):
@@ -387,41 +377,23 @@ def regular_subgroup_survey(m, n):
     base = sp.points[0]
     pidx = {p: k for k, p in enumerate(sp.points)}
 
-    # candidates[k]: fixed-point-free elements sending base to point k
+    # candidates[k]: fixed-point-free elements sending base to point k.  A
+    # group inside `free` acts freely, so it has at most N elements and
+    # they send base to distinct points.
+    free = set()
     candidates = [[] for _ in range(N)]
     for g in aut.elements():
         perm, tw = g
         if g != aut.identity and any(
                 perm[i] == i and tw[i] == 0 for i in range(m + 1)):
             continue
+        free.add(g)
         candidates[pidx[aut.act(g, base)]].append(g)
 
     found = []
     bad = []
 
-    def close(current, gens):
-        group = set(current)
-        frontier = list(current)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = aut.mul(x, g)
-                if y not in group:
-                    if len(group) >= N:
-                        return None
-                    perm, tw = y
-                    if y != aut.identity and any(
-                            perm[i] == i and tw[i] == 0
-                            for i in range(m + 1)):
-                        return None
-                    group.add(y)
-                    frontier.append(y)
-        images = [pidx[aut.act(g, base)] for g in group]
-        if len(set(images)) != len(images):
-            return None
-        return group
-
-    def rec(group):
+    def rec(group, gens):
         covered = {pidx[aut.act(g, base)] for g in group}
         if len(group) == N:
             found.append(frozenset(group))
@@ -430,11 +402,13 @@ def regular_subgroup_survey(m, n):
             return
         target = min(k for k in range(N) if k not in covered)
         for g in candidates[target]:
-            newg = close(group | {g}, list(group) + [g])
+            # g first, so that a product outside `free` shows up early
+            more = [g, *gens]
+            newg = closure(aut.mul, more, group | {g}, free)
             if newg is not None:
-                rec(newg)
+                rec(newg, more)
 
-    rec(frozenset({aut.identity}))
+    rec({aut.identity}, [])
     unique = set(found)
     return {"m": m, "n": n, "mode": "exhaustive",
             "regular_subgroups": len(unique),

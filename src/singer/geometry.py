@@ -313,13 +313,10 @@ def verify_singer_action(gamma, G, action):
         if sorted(images) != list(range(npts)):
             return ActionCertificate(False, {"reason": "not a permutation",
                                              "g": G.canon(g)})
-        for mask in gamma.masks:
+        for line in gamma.lines:
             im = 0
-            m = mask
-            while m:
-                p = (m & -m).bit_length() - 1
+            for p in line:
                 im |= 1 << images[p]
-                m &= m - 1
             if im not in line_masks:
                 return ActionCertificate(False, {
                     "reason": "line not preserved", "g": G.canon(g)})
@@ -579,23 +576,17 @@ def isomorphic_planes(g1, g2, node_cap=ISO_NODE_CAP):
         return IsoResult("noniso")
 
     n = g1.npoints
-    lines1 = g1.masks
+    lines1 = g1.lines
     lineset2 = g2.line_set()
     # lines through each point
     thru1 = [[] for _ in range(n)]
-    for idx, mask in enumerate(lines1):
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
+    for idx, line in enumerate(lines1):
+        for p in line:
             thru1[p].append(idx)
-            m &= m - 1
     thru2count = [0] * n
-    for mask in g2.masks:
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
+    for line in g2.lines:
+        for p in line:
             thru2count[p] += 1
-            m &= m - 1
     pdeg1 = [len(thru1[p]) for p in range(n)]
 
     mapping = [-1] * n
@@ -605,19 +596,14 @@ def isomorphic_planes(g1, g2, node_cap=ISO_NODE_CAP):
     # map the image of every fully-mapped line to a line of g2
     def consistent(p):
         for lidx in thru1[p]:
-            mask = lines1[lidx]
             im = 0
-            complete = True
-            m = mask
-            while m:
-                q = (m & -m).bit_length() - 1
+            for q in lines1[lidx]:
                 if mapping[q] < 0:
-                    complete = False
                     break
                 im |= 1 << mapping[q]
-                m &= m - 1
-            if complete and im not in lineset2:
-                return False
+            else:
+                if im not in lineset2:
+                    return False
         return True
 
     def rec(p):

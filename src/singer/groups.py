@@ -472,18 +472,27 @@ def parse_group(spec):
     raise DomainError(f"unknown group kind {kind!r}")
 
 
-def has_involution(G, bound=None):
-    """Scan the first `bound` elements for h != e with h^2 = e.
-
-    Returns (found, witness).  Exhaustive when bound covers a finite group;
-    for infinite groups the result is a bounded statement only.
-    """
+def _prefix(G, bound):
+    """The first `bound` elements, all of a finite group when bound is None
+    or larger than its order."""
     if bound is None:
         if G.order is None:
             raise DomainError("bound required for infinite groups")
         bound = G.order
+    return G.enumerate(min(bound, G.order) if G.order else bound)
+
+
+def has_involution(G, bound=None):
+    """Scan the first `bound` elements for h != e with h^2 = e.
+
+    Returns (found, witness).  Exhaustive when bound covers a finite group;
+    for infinite groups the result is a bounded statement only, except that
+    Z and free groups are torsion-free and are answered without a scan.
+    """
+    if G.kind in ("integers", "free"):
+        return False, None
     e = G.identity
-    for h in G.enumerate(min(bound, G.order) if G.order else bound):
+    for h in _prefix(G, bound):
         if h != e and G.mul(h, h) == e:
             return True, h
     return False, None
@@ -492,12 +501,7 @@ def has_involution(G, bound=None):
 def square_roots(G, h, bound=None):
     """All x among the first `bound` enumerated elements with x^2 = h."""
     G.validate(h)
-    if bound is None:
-        if G.order is None:
-            raise DomainError("bound required for infinite groups")
-        bound = G.order
-    count = min(bound, G.order) if G.order else bound
-    return [x for x in G.enumerate(count) if G.mul(x, x) == h]
+    return [x for x in _prefix(G, bound) if G.mul(x, x) == h]
 
 
 def conjugacy_sample(G, h, bound=None):
@@ -505,9 +509,66 @@ def conjugacy_sample(G, h, bound=None):
 
     A lower-bound witness for the conjugacy class size."""
     G.validate(h)
-    if bound is None:
-        if G.order is None:
-            raise DomainError("bound required for infinite groups")
-        bound = G.order
-    count = min(bound, G.order) if G.order else bound
-    return {G.mul(G.mul(G.inv(g), h), g) for g in G.enumerate(count)}
+    return {G.mul(G.mul(G.inv(g), h), g) for g in _prefix(G, bound)}
+
+
+# ---------------------------------------------------------------------------
+# subgroups of a finite group, given by its multiplication.  These take the
+# group law as a function so that permutations, monomial elements and the
+# rows of a hypertable's product are handled alike.
+
+def closure(mul, gens, start, inside=None):
+    """The set of products s*t1*...*tk (s in start, ti in gens), by
+    breadth-first search.  With `inside` (a set), return None as soon as a
+    product leaves it."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    if inside is not None and y not in inside:
+                        return None
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def subgroup_generators(mul, identity, H):
+    """Greedy generators T of H, taken from H in its iteration order, or
+    None when H is not a subgroup.
+
+    Each element not yet reached is added to T and the span is closed
+    again, with every product checked against H.  At the end H = <T> with
+    H*T inside H, so H is a subgroup, after |H|*|T| products at most twice
+    over (each new generator at least doubles the span); a set that is not
+    closed fails at its first product outside H."""
+    members = set(H)
+    if identity not in members:
+        return None
+    T = []
+    span = {identity}
+    for h in H:
+        if h not in span:
+            T.append(h)
+            span = closure(mul, T, span, members)
+            if span is None:
+                return None
+    return T
+
+
+def cyclic_generator(mul, identity, elements):
+    """The first element whose order is len(elements), or None: a generator
+    when `elements` is a finite group, which is then cyclic."""
+    k = len(elements)
+    for c in elements:
+        x, order = c, 1
+        while x != identity and order < k:
+            x = mul(x, c)
+            order += 1
+        if x == identity and order == k:
+            return c
+    return None

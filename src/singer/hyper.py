@@ -5,11 +5,12 @@ and the correspondence with projective point-line geometries.
 Hyperaddition tables are stored as bitmask-valued matrices so the cubic
 axiom scans run on the kernel backend.  Carriers are capped at 256."""
 
-import itertools
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import DomainError, CapError
 from . import gf
+from .groups import closure, cyclic_generator
 from ._backend import assoc_witness, distrib_witness
 from .geometry import IncidenceStructure
 
@@ -299,26 +300,14 @@ class QuotientSpec:
     def unit_group(self):
         """Closure of the generators under multiplication; checks they are
         units."""
-        m = self.ring[1] if not isinstance(self.ring, gf.GF) else None
-        group = {1}
-        frontier = [1]
         gens = tuple(self.generators)
         for g in gens:
             if isinstance(self.ring, gf.GF):
                 if g == 0:
                     raise DomainError("0 is not a unit")
-            else:
-                from math import gcd
-                if gcd(g, m) != 1:
-                    raise DomainError(f"{g} is not a unit mod {m}")
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.ring_mul(x, g)
-                if y not in group:
-                    group.add(y)
-                    frontier.append(y)
-        return sorted(group)
+            elif gcd(g, self.ring[1]) != 1:
+                raise DomainError(f"{g} is not a unit mod {self.ring[1]}")
+        return sorted(closure(self.ring_mul, gens, [1]))
 
 
 def quotient_hyperring(Q):
@@ -462,12 +451,7 @@ def geometry_to_hyperfield(gamma, G, point_elements):
         hyperadd[0][x] = 1 << x
     for x in range(1, n):
         hyperadd[x][x] = 0b1 | 1 << x
-    for mask in gamma.masks:
-        pts = []
-        m = mask
-        while m:
-            pts.append((m & -m).bit_length() - 1)
-            m &= m - 1
+    for pts in gamma.lines:
         full = 0
         for p in pts:
             full |= 1 << (p + 1)
@@ -517,54 +501,23 @@ def roundtrip_table(T):
 def tables_equal(T1, T2):
     """Structural equality under the identity carrier correspondence
     (T2's carrier may be a reordering placing zero first)."""
-    if T1.n != T2.n:
-        return False
     old = [T1.zero] + [x for x in range(T1.n) if x != T1.zero]
     # old[i] in T1 corresponds to index i in T2
-    back = {i: x for i, x in enumerate(old)}
-    for x2 in range(T1.n):
-        for y2 in range(T1.n):
-            x1, y1 = back[x2], back[y2]
-            if old.index(T1.mul[x1][y1]) != T2.mul[x2][y2]:
-                return False
-            img = 0
-            m = T1.hyperadd[x1][y1]
-            while m:
-                w = (m & -m).bit_length() - 1
-                img |= 1 << old.index(w)
-                m &= m - 1
-            if img != T2.hyperadd[x2][y2]:
-                return False
-    return True
+    return T1.n == T2.n and _check_table_map(
+        T1, T2, {x: i for i, x in enumerate(old)})
 
 
 # ---------------------------------------------------------------------------
 # isomorphism and classification
-
-def _mult_generators(T):
-    """Try to present the multiplicative group as cyclic: return a
-    generator, or None if it is not cyclic."""
-    nonzero = [x for x in range(T.n) if x != T.zero]
-    k = len(nonzero)
-    for g in nonzero:
-        x = g
-        seen = 1
-        while x != T.one:
-            x = T.mul[x][g]
-            seen += 1
-            if seen > k:
-                break
-        if seen == k and x == T.one or (k == 1 and g == T.one):
-            return g
-    return None
-
 
 def tables_isomorphic(T1, T2):
     """Hypertable isomorphism fixing 0 and 1 (mult-group-first search)."""
     if T1.n != T2.n:
         return None
     n = T1.n
-    g1 = _mult_generators(T1)
+    # a generator of T1's multiplicative group, if that group is cyclic
+    g1 = cyclic_generator(lambda a, b: T1.mul[a][b], T1.one,
+                          [x for x in range(n) if x != T1.zero])
     if g1 is not None:
         # map a cyclic generator to every candidate generator of T2
         nonzero2 = [x for x in range(n) if x != T2.zero]

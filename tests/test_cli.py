@@ -211,10 +211,15 @@ def test_verify_only_roundtrips(tmp_path, capsys):
     payload(["--out", str(table_file), "hyper", "kalg", "--n", "4"], capsys)
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
     assert code == 0 and json.loads(out)["kind"] == "hypertable"
-    # a `lemma` payload's table is a list, which no re-check covers yet
-    payload(["--out", str(table_file), "lemma", "--p", "2"], capsys)
+    # a `lemma` payload's table and failures are recomputed from (p, max)
+    obj = payload(["--out", str(table_file), "lemma", "--p", "2"], capsys)
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
-    assert code == 1 and out == ""
+    assert code == 0 and json.loads(out) == {
+        "kind": "lemma", "table_matches": True, "failures_match": True}
+    obj["table"][3]["divides"] = not obj["table"][3]["divides"]
+    table_file.write_text(json.dumps(obj))
+    code, out, _ = run(["--verify-only", str(table_file)], capsys)
+    assert code == 2 and json.loads(out)["table_matches"] is False
 
     # a `classical --m >= 3` payload is rebuilt from its (q, m), and the
     # action is re-certified on its space

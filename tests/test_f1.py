@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
 from singer import f1
+from singer.groups import closure
 
 
 def test_space_point_counts():
@@ -152,3 +154,169 @@ def test_survey_small_exhaustive():
 def test_survey_structural_gate():
     out = f1.regular_subgroup_survey(3, 6)
     assert out["mode"] == "structural" and out["confirmed"]
+
+
+# ---------------------------------------------------------------------------
+# verify_regular and embed_singer against the exhaustive checks they replace
+
+def reference_verify_regular(action):
+    """The exhaustive check: a count matrix over all point pairs, then
+    every product of two elements."""
+    sp = action.space
+    aut = sp.aut
+    pidx = {p: k for k, p in enumerate(sp.points)}
+    N = sp.npoints
+    if len(set(action.elements)) != len(action.elements):
+        return False, {"reason": "repeated elements"}
+    if action.order != N:
+        return False, {"reason": "order != points",
+                       "order": action.order, "points": N}
+    counts = [[0] * N for _ in range(N)]
+    for g in action.elements:
+        for k, p in enumerate(sp.points):
+            counts[k][pidx[aut.act(g, p)]] += 1
+    for a in range(N):
+        for b in range(N):
+            if counts[a][b] != 1:
+                return False, {"reason": "pair with mover count != 1",
+                               "pair": [list(sp.points[a]),
+                                        list(sp.points[b])],
+                               "count": counts[a][b]}
+    els = set(action.elements)
+    for g in action.elements:
+        for h in action.elements:
+            if aut.mul(g, h) not in els:
+                return False, {"reason": "not closed under composition"}
+    return True, {"order": N}
+
+
+def is_closed(aut, elements):
+    els = set(elements)
+    return all(aut.mul(g, h) in els for g in els for h in els)
+
+
+SPACE = f1.F1Space(2, 2)    # 6 points, C_2 wr S_3 of order 48
+AUT_ELEMENTS = list(SPACE.aut.elements())
+# every subgroup of order 6 is cyclic or S_3, so generated by two elements
+ORDER6 = sorted({frozenset(c) for c in (
+    closure(SPACE.aut.mul, [a, b], [SPACE.aut.identity])
+    for a in AUT_ELEMENTS for b in AUT_ELEMENTS) if len(c) == 6},
+    key=sorted)
+
+
+@st.composite
+def order6_sets(draw):
+    """A subgroup of order 6, tampered: an element missing, an element
+    added, one element swapped for another, or a random 6-set."""
+    H = sorted(draw(st.sampled_from(ORDER6)))
+    outside = [g for g in AUT_ELEMENTS if g not in H]
+    kind = draw(st.sampled_from(
+        ["subgroup", "missing", "extra", "swap", "random"]))
+    if kind == "missing":
+        H.remove(draw(st.sampled_from(H)))
+    elif kind == "extra":
+        H.append(draw(st.sampled_from(outside)))
+    elif kind == "swap":
+        H[draw(st.integers(0, 5))] = draw(st.sampled_from(outside))
+    elif kind == "random":
+        H = draw(st.lists(st.sampled_from(AUT_ELEMENTS), min_size=6,
+                          max_size=6, unique=True))
+    return draw(st.permutations(H))
+
+
+def test_order6_subgroups_cover_both_verdicts():
+    verdicts = {f1.verify_regular(f1.ActionGroup(SPACE, sorted(H), "t")).ok
+                for H in ORDER6}
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(order6_sets())
+def test_verify_regular_matches_exhaustive(elements):
+    A = f1.ActionGroup(SPACE, list(elements), "test")
+    cert = f1.verify_regular(A)
+    ok, detail = reference_verify_regular(A)
+    assert cert.ok == ok
+    if (detail.get("reason") == "pair with mover count != 1"
+            and not is_closed(SPACE.aut, elements)):
+        # a set that fails both checks reports the closure first
+        assert cert.detail == {"reason": "not closed under composition"}
+    else:
+        assert cert.detail == detail
+
+
+def test_verify_regular_pins_reasons():
+    aut = SPACE.aut
+    # S_3 on the fibers with no twist: closed, orbit of (0, 0) has 3 points
+    untwisted = [(p, (0, 0, 0)) for p in f1.full_symmetric_group(3)]
+    cert = f1.verify_regular(f1.ActionGroup(SPACE, untwisted, "test"))
+    assert cert.detail == {"reason": "pair with mover count != 1",
+                           "pair": [[0, 0], [0, 0]], "count": 2}
+    # the same set with one element replaced by a fixed-point-free one
+    # fails both; the closure is reported first
+    broken = untwisted[:-1] + [((1, 2, 0), (1, 0, 0))]
+    assert not is_closed(aut, broken)
+    assert reference_verify_regular(
+        f1.ActionGroup(SPACE, broken, "t"))[1]["reason"] == (
+        "pair with mover count != 1")
+    cert = f1.verify_regular(f1.ActionGroup(SPACE, broken, "test"))
+    assert cert.detail == {"reason": "not closed under composition"}
+    # sharply transitive but not a group: every pair has one mover, and
+    # both checks report the closure
+    latin = [((0, 1, 2), (0, 0, 0)), ((0, 1, 2), (1, 1, 1)),
+             ((1, 2, 0), (0, 0, 0)), ((1, 2, 0), (1, 1, 1)),
+             ((2, 0, 1), (0, 0, 1)), ((2, 0, 1), (1, 1, 0))]
+    A = f1.ActionGroup(SPACE, latin, "test")
+    assert reference_verify_regular(A)[1] == f1.verify_regular(A).detail == {
+        "reason": "not closed under composition"}
+
+
+def reference_certify_embedding(Ai, Aj, gmap, pmap):
+    """The exhaustive check: every pair of elements, every element on
+    every point.  Returns the failure reason, or None."""
+    auti, autj = Ai.space.aut, Aj.space.aut
+    if len(set(gmap.values())) != len(gmap):
+        return "not injective"
+    if any(g not in set(Aj.elements) for g in gmap.values()):
+        return "image leaves the target group"
+    for a in Ai.elements:
+        for b in Ai.elements:
+            if gmap[auti.mul(a, b)] != autj.mul(gmap[a], gmap[b]):
+                return "not a homomorphism"
+    for g in Ai.elements:
+        for p in Ai.space.points:
+            if pmap[auti.act(g, p)] != autj.act(gmap[g], pmap[p]):
+                return "not equivariant"
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_embedding_matches_exhaustive(m, i, r, data):
+    good = f1.embed_singer(m, i, i * r)
+    Ai, Aj = f1.singer_first(m, i), f1.singer_first(m, i * r)
+    gmap, pmap = dict(good.group_map), dict(good.point_map)
+    # swap the images of two elements, or of two points; a swap along an
+    # automorphism still passes, so the reference decides
+    target = data.draw(st.sampled_from([{}, gmap, pmap]))
+    if target:
+        a, b = data.draw(st.permutations(sorted(target)))[:2]
+        target[a], target[b] = target[b], target[a]
+    cert = f1.certify_embedding(Ai, Aj, gmap, pmap)
+    reason = reference_certify_embedding(Ai, Aj, gmap, pmap)
+    assert cert.ok == (reason is None)
+    assert cert.detail.get("reason") == reason
+
+
+def test_embedding_swaps_pinned():
+    good = f1.embed_singer(2, 2, 4)
+    Ai, Aj = f1.singer_first(2, 2), f1.singer_first(2, 4)
+    e, g = Ai.elements[0], Ai.elements[1]
+    gmap = dict(good.group_map)
+    gmap[e], gmap[g] = gmap[g], gmap[e]
+    cert = f1.certify_embedding(Ai, Aj, gmap, good.point_map)
+    assert cert.detail["reason"] == "not a homomorphism"
+    pmap = dict(good.point_map)
+    pmap[(0, 0)], pmap[(0, 1)] = pmap[(0, 1)], pmap[(0, 0)]
+    cert = f1.certify_embedding(Ai, Aj, good.group_map, pmap)
+    assert cert.detail["reason"] == "not equivariant"

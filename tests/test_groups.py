@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
 from singer.groups import (Cyclic, Abelian, Integers, Free, Symmetric,
                            Monomial, FieldQuotient, parse_group,
-                           has_involution, square_roots, conjugacy_sample)
+                           has_involution, square_roots, conjugacy_sample,
+                           closure, subgroup_generators, cyclic_generator)
 
 FINITE = [Cyclic(1), Cyclic(7), Cyclic(12), Abelian((3, 9)), Abelian((2, 6)),
           Symmetric(4), Monomial(3, 3), FieldQuotient(2, 1, 3)]
@@ -83,6 +85,14 @@ def test_involutions():
             assert w == v // 2
 
 
+def test_involution_torsion_free_without_scan(monkeypatch):
+    def no_scan(self):
+        raise AssertionError("torsion-free groups need no scan")
+    for G in (Integers(), Free(2)):
+        monkeypatch.setattr(type(G), "elements", no_scan)
+        assert has_involution(G, 10 ** 4) == (False, None)
+
+
 def test_square_roots():
     assert square_roots(Cyclic(7), 1) == [4]
     assert square_roots(Integers(), 1, 100) == []
@@ -128,6 +138,85 @@ def test_monomial_act_consistency():
             ab = M.mul(a, b)
             for p in pts:
                 assert M.act(ab, p) == M.act(b, M.act(a, p))
+
+
+@pytest.mark.parametrize("M", [Monomial(3, 2), Monomial(2, 3)],
+                         ids=lambda g: g.spec_string())
+def test_monomial_act_is_right_action_exhaustive(M):
+    # act(a*b, p) = act(b, act(a, p)) and act(e, p) = p on every element
+    # pair and point: the orbit and generator reductions in f1 rest on it
+    els = list(M.elements())
+    pts = [(i, t) for i in range(M.m) for t in range(M.n)]
+    for p in pts:
+        assert M.act(M.identity, p) == p
+    for a in els:
+        images = {p: M.act(a, p) for p in pts}
+        for b in els:
+            ab = M.mul(a, b)
+            for p in pts:
+                assert M.act(ab, p) == M.act(b, images[p])
+
+
+# ---------------------------------------------------------------------------
+# subgroup_generators against the exhaustive |H|^2 closure check
+
+SMALL = {"symmetric:4": Symmetric(4), "monomial:2,3": Monomial(2, 3)}
+ELEMENTS = {k: list(G.elements()) for k, G in SMALL.items()}
+
+
+def exhaustive_is_subgroup(G, H):
+    """The reference: a nonempty subset of a finite group is a subgroup
+    iff it is closed under the product."""
+    members = set(H)
+    return bool(members) and all(
+        G.mul(a, b) in members for a in members for b in members)
+
+
+@st.composite
+def group_and_subset(draw):
+    """A group, and a subgroup of it, the subgroup with one element
+    missing or one element added, or a random subset."""
+    key = draw(st.sampled_from(sorted(SMALL)))
+    G, els = SMALL[key], ELEMENTS[key]
+    gens = draw(st.lists(st.sampled_from(els), max_size=3))
+    H = sorted(closure(G.mul, gens, [G.identity]))
+    kind = draw(st.sampled_from(["subgroup", "missing", "extra", "random"]))
+    if kind == "missing" and len(H) > 1:
+        H.remove(draw(st.sampled_from(H[1:])))
+    elif kind == "extra" and len(H) < len(els):
+        H.append(draw(st.sampled_from([g for g in els if g not in H])))
+    elif kind == "random":
+        H = draw(st.lists(st.sampled_from(els), unique=True))
+    return G, draw(st.permutations(H))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(group_and_subset())
+def test_subgroup_generators_matches_exhaustive(case):
+    G, H = case
+    T = subgroup_generators(G.mul, G.identity, H)
+    assert (T is not None) == exhaustive_is_subgroup(G, H)
+    if T is not None:
+        assert set(T) <= set(H)
+        assert closure(G.mul, T, [G.identity]) == set(H)
+
+
+def test_closure_stops_outside():
+    S4 = Symmetric(4)
+    shift = (1, 2, 3, 0)
+    assert len(closure(S4.mul, [shift], [S4.identity])) == 4
+    assert closure(S4.mul, [shift], [S4.identity],
+                   {S4.identity, shift}) is None
+    assert subgroup_generators(S4.mul, S4.identity, [shift]) is None
+
+
+def test_cyclic_generator():
+    C12 = Cyclic(12)
+    assert cyclic_generator(C12.mul, 0, list(range(12))) == 1
+    assert cyclic_generator(C12.mul, 0, [0, 4, 8]) == 4
+    assert cyclic_generator(C12.mul, 0, [0]) == 0
+    V = Abelian((2, 2))
+    assert cyclic_generator(V.mul, V.identity, list(V.elements())) is None
 
 
 def test_validate_rejects():

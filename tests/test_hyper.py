@@ -145,6 +145,14 @@ def test_roundtrip_exact(q, m):
     T = hyper.field_quotient_table(q, m)
     back = hyper.roundtrip_table(T)
     assert hyper.tables_equal(T, back)
+    # one changed product or hypersum breaks the equality
+    x, y = 2, 3
+    back.mul[x][y] = back.mul[x][y] % (T.n - 1) + 1
+    assert not hyper.tables_equal(T, back)
+    back = hyper.roundtrip_table(T)
+    back.hyperadd[x][y] ^= 1 << 1
+    assert not hyper.tables_equal(T, back)
+    assert not hyper.tables_equal(T, hyper.krasner())
     # and the geometry really is the projective plane of order q
     gamma = hyper.hyperfield_to_geometry(T)
     cert = geo.verify_plane(gamma)
