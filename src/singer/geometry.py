@@ -172,7 +172,10 @@ def verify_partial_linear(gamma):
 
 
 def plane_from_difference_set(G, S):
-    """Points = lines = G; point x on line y iff x y^-1 in S."""
+    """Points = lines = G; point x on line y iff x y^-1 in S.
+
+    x y^-1 is in S exactly when x is in S y, so line y is the translate
+    {s y : s in S}: O(|G| |S|) products instead of O(|G|^2)."""
     if G.order is None:
         raise DomainError("finite groups only")
     if not S.certified:
@@ -182,12 +185,7 @@ def plane_from_difference_set(G, S):
                           f"not in {G.spec_string()}")
     els = list(G.elements())
     index = {e: i for i, e in enumerate(els)}
-    sset = set(S.elements)
-    lines = []
-    for y in els:
-        y_inv = G.inv(y)
-        line = [index[x] for x in els if G.mul(x, y_inv) in sset]
-        lines.append(line)
+    lines = [[index[G.mul(s, y)] for s in S.elements] for y in els]
     meta = {"construction": "difference-set", "group": G.spec_string(),
             "elements": [G.canon(e) for e in els]}
     return IncidenceStructure(len(els), lines, meta)

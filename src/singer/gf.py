@@ -47,9 +47,14 @@ def prime_divisors(n):
 
 
 def factor_prime_power(q):
-    """Return (p, k) with q = p^k, or raise DomainError."""
+    """Return (p, k) with q = p^k, or raise DomainError.
+
+    Every q here is the order of a field, so a q above the field size cap
+    raises CapError before the O(sqrt(q)) trial division."""
     if q < 2:
         raise DomainError(f"{q} is not a prime power")
+    if q > SIZE_CAP:
+        raise CapError(f"{q} exceeds the field size cap 2^20")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -147,12 +152,14 @@ class GF:
     """GF(p^n) with integer-coded elements."""
 
     def __init__(self, p, n=1, modulus=None):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
         if n < 1:
             raise DomainError("degree must be >= 1")
-        if p ** n > SIZE_CAP:
+        # before the trial division of is_prime, and without forming a huge
+        # p^n: a prime is at least 2, so n > 20 already exceeds 2^20
+        if p > 1 and (n > 20 or p ** n > SIZE_CAP):
             raise CapError(f"field size {p}^{n} exceeds cap 2^20")
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
         self.p, self.n = p, n
         self.q = p ** n
         self.modulus = least_irreducible(p, n) if modulus is None else poly_trim(modulus)

@@ -236,6 +236,45 @@ def krasner():
     return HyperTable(labels, 0, 1, mul, hyperadd)
 
 
+def _line_table(els, mul, identity, labels, lines):
+    """The hypertable on {0} + els, with carrier index i + 1 for els[i]
+    and carrier labels "0" + labels.
+
+    The product is the group law `mul` on els, and the hyperaddition that
+    of a K-vector space whose lines are `lines` (sequences of indices into
+    els): x + 0 = {x}, x + x = {0, x}, and x + y = (the line through x and
+    y) minus {x, y}.  Every pair of distinct points must lie on a line."""
+    n = len(els) + 1
+    if n > CARRIER_CAP:
+        raise CapError("carrier cap exceeded")
+    index = {e: i for i, e in enumerate(els, 1)}
+    if len(index) != len(els):
+        raise DomainError("repeated point label")
+    if identity not in index:
+        raise DomainError("the identity labels no point")
+    prod = [[0] * n] + [[0] + [index.get(mul(a, b)) for b in els]
+                        for a in els]
+    if any(None in row for row in prod):
+        raise DomainError("point labels not closed under the product")
+    # x + 0 = 0 + x = {x}, and x + x = {0, x}
+    hyperadd = [[1 << (x + y) if x * y == 0 else 0 for y in range(n)]
+                for x in range(n)]
+    for x in range(1, n):
+        hyperadd[x][x] = 1 | 1 << x
+    for line in lines:
+        full = 0
+        for p in line:
+            full |= 2 << p
+        for p in line:
+            for q in line:
+                if p != q:
+                    hyperadd[p + 1][q + 1] = full & ~(2 << p | 2 << q)
+    if any(0 in row for row in hyperadd):
+        raise DomainError("labeling does not cover all point pairs")
+    return HyperTable(["0"] + list(labels), 0, index[identity], prod,
+                      hyperadd)
+
+
 def k_algebra(G):
     """Group algebra over the two-element hyperfield, |G| >= 3.
 
@@ -251,28 +290,8 @@ def k_algebra(G):
         raise DomainError("need |G| >= 3 (smaller carriers force an empty "
                           "hypersum)")
     els = list(G.elements())
-    n = G.order + 1
-    if n > CARRIER_CAP:
-        raise CapError("carrier cap exceeded")
-    index = {e: i + 1 for i, e in enumerate(els)}
-    labels = ["0"] + [G.canon(e) for e in els]
-    mul = [[0] * n for _ in range(n)]
-    for a in els:
-        ia = index[a]
-        for b in els:
-            mul[ia][index[b]] = index[G.mul(a, b)]
-    full = (1 << n) - 1
-    hyperadd = [[0] * n for _ in range(n)]
-    for x in range(n):
-        hyperadd[x][0] = 1 << x
-        hyperadd[0][x] = 1 << x
-    for x in range(1, n):
-        for y in range(1, n):
-            if x == y:
-                hyperadd[x][y] = 0b1 | 1 << x
-            else:
-                hyperadd[x][y] = full & ~(0b1 | 1 << x | 1 << y)
-    return HyperTable(labels, 0, 1, mul, hyperadd)
+    return _line_table(els, G.mul, G.identity, [G.canon(e) for e in els],
+                       [range(len(els))])
 
 
 @dataclass(frozen=True)
@@ -312,9 +331,17 @@ class QuotientSpec:
 
 def quotient_hyperring(Q):
     """Unit-orbit quotient of a finite ring: carrier = G-orbits, with
-    xG + yG = {xg + yh} as orbits and xG * yG = xyG."""
+    xG + yG = {xg + yh} as orbits and xG * yG = xyG.
+
+    For a unit g, xg + yh = g(x + y hg^-1) lies in the orbit of
+    x + y hg^-1, and hg^-1 runs over G with h, so
+    xG + yG = {(x + w)G : w in yG}: one orbit of additions per sum.  Both
+    ring kinds are commutative, so each pair x <= y is computed once."""
     G = Q.unit_group()
-    elements = list(Q.ring_elements())
+    elements = Q.ring_elements()
+    # an orbit has at most |G| elements, so there are at least |R|/|G|
+    if -(-len(elements) // len(G)) > CARRIER_CAP:
+        raise CapError("carrier cap exceeded")
     orbit_of = {}
     orbits = []
     for x in elements:
@@ -329,22 +356,17 @@ def quotient_hyperring(Q):
     if n > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
     labels = ["{" + ",".join(map(str, orb)) + "}" for orb in orbits]
-    zero = orbit_of[0]
-    one = orbit_of[1]
-    mul = [[orbit_of[Q.ring_mul(orbits[x][0], orbits[y][0])]
-            for y in range(n)] for x in range(n)]
+    mul = [[0] * n for _ in range(n)]
     hyperadd = [[0] * n for _ in range(n)]
     for x in range(n):
         rx = orbits[x][0]
         for y in range(x, n):
+            mul[x][y] = mul[y][x] = orbit_of[Q.ring_mul(rx, orbits[y][0])]
             mask = 0
-            for g in G:
-                xg = Q.ring_mul(rx, g)
-                for h in G:
-                    mask |= 1 << orbit_of[Q.ring_add(xg, Q.ring_mul(orbits[y][0], h))]
-            hyperadd[x][y] = mask
-            hyperadd[y][x] = mask
-    T = HyperTable(labels, zero, one, mul, hyperadd)
+            for w in orbits[y]:
+                mask |= 1 << orbit_of[Q.ring_add(rx, w)]
+            hyperadd[x][y] = hyperadd[y][x] = mask
+    T = HyperTable(labels, orbit_of[0], orbit_of[1], mul, hyperadd)
     T.quotient = Q
     T.unit_subgroup = G
     T.orbits = orbits
@@ -427,75 +449,35 @@ def hyperfield_to_geometry(T):
 def geometry_to_hyperfield(gamma, G, point_elements):
     """Rebuild the hypertable from a geometry with a group labeling.
 
-    point_elements[i] is the group element labeling point i; the group
-    must have order = number of points.  Requires >= 4 points per line.
+    point_elements[i] is the group element labeling point i; the labels
+    must be distinct and closed under the product, so they form a subgroup
+    of order = number of points.  Requires >= 4 points per line.
     Hyperaddition: x + y = (line through x, y) minus {x, y} for x != y,
     and x + x = {0, x}."""
-    if any(len(l) < 4 for l in gamma.lines):
-        raise DomainError("need at least 4 points per line")
+    lines = _long_lines(gamma)
+    if len(point_elements) != gamma.npoints:
+        raise DomainError(f"{len(point_elements)} labels for "
+                          f"{gamma.npoints} points")
     for a in point_elements:
         G.validate(a)
-    n = gamma.npoints + 1
-    if n > CARRIER_CAP:
-        raise CapError("carrier cap exceeded")
-    index = {e: i + 1 for i, e in enumerate(point_elements)}
-    labels = ["0"] + [G.canon(e) for e in point_elements]
-    mul = [[0] * n for _ in range(n)]
-    for i, a in enumerate(point_elements):
-        for j, b in enumerate(point_elements):
-            mul[i + 1][j + 1] = index[G.mul(a, b)]
-    one = index[G.identity]
-    hyperadd = [[0] * n for _ in range(n)]
-    for x in range(n):
-        hyperadd[x][0] = 1 << x
-        hyperadd[0][x] = 1 << x
-    for x in range(1, n):
-        hyperadd[x][x] = 0b1 | 1 << x
-    for pts in gamma.lines:
-        full = 0
-        for p in pts:
-            full |= 1 << (p + 1)
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                val = full & ~(1 << (p + 1) | 1 << (q + 1))
-                hyperadd[p + 1][q + 1] = val
-                hyperadd[q + 1][p + 1] = val
-    for x in range(1, n):
-        for y in range(1, n):
-            if x != y and hyperadd[x][y] == 0:
-                raise DomainError("labeling does not cover all point pairs")
-    return HyperTable(labels, 0, one, mul, hyperadd)
+    return _line_table(point_elements, G.mul, G.identity,
+                       [G.canon(e) for e in point_elements], lines)
 
 
-class _CarrierGroup:
-    """Multiplicative group of a hypertable's nonzero carrier, in the
-    GroupHandle shape geometry_to_hyperfield consumes."""
-
-    def __init__(self, T):
-        self.T = T
-
-    @property
-    def identity(self):
-        return self.T.one
-
-    def mul(self, a, b):
-        return self.T.mul[a][b]
-
-    def validate(self, a):
-        if not (isinstance(a, int) and 0 <= a < self.T.n
-                and a != self.T.zero):
-            raise DomainError(f"{a!r} is not a nonzero carrier index")
-
-    def canon(self, a):
-        return self.T.labels[a]
+def _long_lines(gamma):
+    """gamma's lines, which need four points each for associative sums."""
+    if any(len(l) < 4 for l in gamma.lines):
+        raise DomainError("need at least 4 points per line")
+    return gamma.lines
 
 
 def roundtrip_table(T):
     """hyperfield -> geometry -> hyperfield, labeling points by the
     nonzero carrier itself."""
-    gamma = hyperfield_to_geometry(T)
+    lines = _long_lines(hyperfield_to_geometry(T))
     pts = [x for x in range(T.n) if x != T.zero]
-    return geometry_to_hyperfield(gamma, _CarrierGroup(T), pts)
+    return _line_table(pts, lambda a, b: T.mul[a][b], T.one,
+                       [T.labels[x] for x in pts], lines)
 
 
 def tables_equal(T1, T2):

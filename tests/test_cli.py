@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -42,6 +43,36 @@ def test_classical_space_stdout_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c8279716706550e6a1651d5bdb3753957e3b40ed2cdbdf06ed10ddd3f6066f01")
+
+
+def test_hyper_stdout_pinned(capsys):
+    for argv, digest in (
+            ("hyper quotient --p 5 --ext 3", "57b3102c515ac00eda4e421484bb7c5f"
+             "06ec4a7684972e595d4721a72dc30b27"),
+            ("hyper roundtrip --p 4 --ext 3", "a55f43a2d37a3be9b729b31d6a1a0592"
+             "1715baf527f7b5cf2e4f4dbeec95a17a"),
+            ("hyper quotient --p 3 --ext 2 --generators 2",
+             "095eae81bceea17dd63130a3319fb3eed19c153ec06f29788431a0149e972c93"),
+            ("hyper kalg --n 12", "9c2613f0a255d003382e68e4abe73d7e"
+             "ba07adf05e2783d8867f934f998a14a0")):
+        code, out, _ = run(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [
+    "hyper quotient --p 2 --ext 20",              # 2^20 orbits of size 1
+    "hyper quotient --p 2 --q-deg 2 --ext 10",    # orbits of size <= 3
+    "classical --q 100000000000031",              # a prime above 2^20
+    "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
+    "hyper quotient --p 3 --ext 100000000",       # GF(3^(10^8))
+])
+def test_refusals_past_the_caps_are_fast(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(argv.split(), capsys)
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_classical_bad_order(capsys):

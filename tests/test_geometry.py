@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from singer.errors import DomainError
-from singer.groups import Cyclic
+from singer.groups import Cyclic, Symmetric
 from singer import diffsets as ds
 from singer import geometry as geo
 from singer import gf
@@ -40,6 +40,28 @@ def test_plane_refuses_set_of_another_group():
     # that verify_plane accepts
     with pytest.raises(DomainError, match="cyclic:13"):
         geo.plane_from_difference_set(Cyclic(7), pds(Cyclic(13), [0, 1, 3, 9]))
+
+
+def _pairwise_lines(G, S):
+    """The definition: point x on line y iff x y^-1 in S, over all pairs."""
+    els = list(G.elements())
+    return [tuple(i for i, x in enumerate(els)
+                  if G.mul(x, G.inv(y)) in S.elements) for y in els]
+
+
+def test_plane_lines_are_translates():
+    G = Cyclic(13)
+    S = pds(G, [0, 1, 3, 9])
+    assert geo.plane_from_difference_set(G, S).lines == _pairwise_lines(G, S)
+    # non-abelian: a greedy certified partial set of S_4
+    G = Symmetric(4)
+    els = ()
+    for e in G.elements():
+        if ds.verify_partial(ds.PartialDifferenceSet(G, els + (e,))):
+            els += (e,)
+    S = pds(G, els)
+    assert len(els) == 4 and not G.abelian
+    assert geo.plane_from_difference_set(G, S).lines == _pairwise_lines(G, S)
 
 
 def test_verify_plane_rejects_k4():

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from singer.errors import DomainError, CapError
@@ -168,13 +170,71 @@ def test_geometry_to_hyperfield_rejects_short_lines():
         hyper.geometry_to_hyperfield(fano, G, list(G.elements()))
 
 
+def test_roundtrip_rejects_short_lines():
+    # the three-point line of k_algebra(C_3) is no K-vector space line
+    with pytest.raises(DomainError, match="4 points"):
+        hyper.roundtrip_table(hyper.k_algebra(Cyclic(3)))
+
+
 def test_geometry_to_hyperfield_rejects_bad_labels():
     gamma = hyper.hyperfield_to_geometry(hyper.field_quotient_table(3, 3))
     G = Cyclic(gamma.npoints)
     labels = list(G.elements())
     labels[-1] = G.order  # not a residue mod 13
-    with pytest.raises(DomainError):
-        hyper.geometry_to_hyperfield(gamma, G, labels)
+    for group, labels in ((G, labels),
+                          (Cyclic(26), list(range(13))),  # not closed
+                          (G, list(range(12))),           # too few
+                          (G, [0] * 13)):                 # repeated
+        with pytest.raises(DomainError):
+            hyper.geometry_to_hyperfield(gamma, group, labels)
+
+
+def _quotient_reference(Q):
+    """The definition, with |G|^2 sums per pair of orbits: orbits in the
+    order of their least element, xG * yG = xyG and
+    xG + yG = {(xg + yh)G : g, h in G}."""
+    G = Q.unit_group()
+    orbits = []
+    for x in Q.ring_elements():
+        if not any(x in orb for orb in orbits):
+            orbits.append(sorted({Q.ring_mul(x, g) for g in G}))
+    orbit_of = {y: i for i, orb in enumerate(orbits) for y in orb}
+    mul = [[orbit_of[Q.ring_mul(a[0], b[0])] for b in orbits]
+           for a in orbits]
+    hyperadd = [[sum({1 << orbit_of[Q.ring_add(Q.ring_mul(a[0], g),
+                                               Q.ring_mul(b[0], h))]
+                      for g in G for h in G})
+                 for b in orbits] for a in orbits]
+    labels = ["{" + ",".join(map(str, orb)) + "}" for orb in orbits]
+    return labels, orbit_of[0], orbit_of[1], mul, hyperadd
+
+
+def _quotient_specs():
+    for q in range(2, 33):
+        try:
+            p, a = gf.factor_prime_power(q)
+        except DomainError:
+            continue
+        F = gf.GF(p, a)
+        g = F.primitive_element()
+        for d in range(1, q):
+            if (q - 1) % d == 0:
+                yield hyper.QuotientSpec(F, (F.pow(g, (q - 1) // d),))
+    for q, m in ((3, 2), (4, 2), (3, 3)):
+        yield hyper.field_quotient_table(q, m).quotient
+    for m in range(2, 31):
+        for u in range(1, m):
+            if gcd(u, m) == 1:
+                yield hyper.QuotientSpec(("zmod", m), (u,))
+
+
+def test_quotient_sums_from_one_orbit():
+    """quotient_hyperring reads one orbit per sum; it must give the table
+    of the |G|^2 definition."""
+    for Q in _quotient_specs():
+        T = hyper.quotient_hyperring(Q)
+        assert (T.labels, T.zero, T.one, T.mul, T.hyperadd) \
+            == _quotient_reference(Q), Q
 
 
 def test_classify_extension():
