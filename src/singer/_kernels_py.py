@@ -1,8 +1,10 @@
 """Pure-Python bitset kernels: the reference versions, and the fallback
 when the compiled extension is not built.
 
-All set-valued data arrives as Python integer bitmasks; the hot loops are
-the O(c^3) hyperaddition scans and the O(L^2) line-pair scans.  The
+All set-valued data arrives as Python integer bitmasks.  The O(c^3)
+hyperaddition scans are the fallback of `hyper.check_axioms`, which runs
+them only on tables that fail an axiom or a precondition of its reductions
+to generators; the O(L^2) line-pair scans serve `verify_plane`.  The
 compiled twin in _kernels.c implements the same signatures on uint64
 words; singer._backend picks whichever is importable.
 """

@@ -94,6 +94,9 @@ def _table_report(T):
 
 
 def _quotient_from_args(args):
+    if args.p < 2:
+        raise DomainError(f"{args.p} is not prime")
+    gf.check_field_size(args.p, args.q_deg)
     q = args.p ** args.q_deg
     if args.generators:
         p_, a = gf.factor_prime_power(q)
@@ -218,10 +221,23 @@ def cmd_f1(args):
 
 # ---------------------------------------------------------------------------
 
+# The most bits the sweep's largest integer, p^(2 top), may have.  The
+# largest sweeps accepted (p = 2 with top 4095, or p near 2^20 with top 204)
+# take at most about 1.5 s on pure Python (2 vCPUs), payload included.
+LEMMA_BITS_CAP = 2 ** 13
+
+
 def _lemma_table(p, top):
     """(table, failures) of the divisibility sweep over i | j <= top."""
+    if p > gf.SIZE_CAP:
+        raise CapError("p exceeds the field size cap 2^20")
     if not gf.is_prime(p):
         raise DomainError(f"{p} is not prime")
+    # p >= 2, so p^(2 top) has more than 2 top bits: no huge power is formed
+    if top > LEMMA_BITS_CAP // 2 or (
+            top > 0 and (p ** (2 * top)).bit_length() > LEMMA_BITS_CAP):
+        raise CapError(f"p^(2 max) exceeds the lemma cap of "
+                       f"{LEMMA_BITS_CAP} bits")
     table = []
     failures = []
     for j in range(1, top + 1):

@@ -46,6 +46,15 @@ def prime_divisors(n):
     return out
 
 
+def check_field_size(p, n):
+    """Raise CapError when p^n, with p > 1 and n >= 1, exceeds SIZE_CAP.
+
+    Call it before the trial division of is_prime.  It never forms a huge
+    p^n: a base of at least 2 already exceeds 2^20 at n > 20."""
+    if n > 20 or p ** n > SIZE_CAP:
+        raise CapError(f"field size {p}^{n} exceeds cap 2^20")
+
+
 def factor_prime_power(q):
     """Return (p, k) with q = p^k, or raise DomainError.
 
@@ -154,10 +163,8 @@ class GF:
     def __init__(self, p, n=1, modulus=None):
         if n < 1:
             raise DomainError("degree must be >= 1")
-        # before the trial division of is_prime, and without forming a huge
-        # p^n: a prime is at least 2, so n > 20 already exceeds 2^20
-        if p > 1 and (n > 20 or p ** n > SIZE_CAP):
-            raise CapError(f"field size {p}^{n} exceeds cap 2^20")
+        if p > 1:
+            check_field_size(p, n)
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         self.p, self.n = p, n

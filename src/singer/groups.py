@@ -18,7 +18,7 @@ import itertools
 import string
 
 from .errors import DomainError, CapError
-from .gf import is_prime
+from .gf import is_prime, check_field_size
 
 
 class GroupHandle:
@@ -128,13 +128,13 @@ class FieldQuotient(Cyclic):
     kind = "field-quotient"
 
     def __init__(self, p, n, m):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
         if n < 1 or m < 1:
             raise DomainError("degrees must be >= 1")
+        if p > 1:
+            check_field_size(p, n * m)
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
         q = p ** n
-        if q ** m > 2 ** 20:
-            raise CapError("field size cap 2^20 exceeded")
         self.p, self.n, self.m = p, n, m
         self.q = q
         super().__init__((q ** m - 1) // (q - 1))

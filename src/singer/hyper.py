@@ -2,15 +2,17 @@
 1+1 = {0,1}, group algebras over it, unit-orbit quotients of finite rings,
 and the correspondence with projective point-line geometries.
 
-Hyperaddition tables are stored as bitmask-valued matrices so the cubic
-axiom scans run on the kernel backend.  Carriers are capped at 256."""
+Hyperaddition tables are stored as bitmask-valued matrices.  The axioms
+are proved from generators of the units; the cubic scans of the kernel
+backend run only when that proof does not apply or finds a failure.
+Carriers are capped at 256."""
 
 from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DomainError, CapError
 from . import gf
-from .groups import closure, cyclic_generator
+from .groups import closure, cyclic_generator, subgroup_generators
 from ._backend import assoc_witness, distrib_witness
 from .geometry import IncidenceStructure
 
@@ -46,12 +48,7 @@ class HyperTable:
                                       "subsets of the carrier")
 
     def add_set(self, x, y):
-        m = self.hyperadd[x][y]
-        out = []
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return out
+        return _bits(self.hyperadd[x][y])
 
     def to_json(self):
         return {
@@ -127,105 +124,141 @@ class AxiomReport:
 
 
 def check_axioms(T):
-    """Exhaustive verification of the hyperfield axioms over all triples."""
+    """The hyperfield axioms, each with a boolean and, when it fails, the
+    first witness of the exhaustive scan over all triples.
+
+    The cheap axioms are checked first.  When they give generators of the
+    units, the three cubic ones (the monoid law, distributivity and the
+    associativity of hyperaddition) are proved from those generators in
+    O(n^2 |gens|) steps; `DECISIONS.md`, "Hyperfield axioms from
+    generators", has the argument.  If a precondition fails, or a reduced
+    check finds a failure, the exhaustive scan runs and reports its
+    witness."""
     n, z, o = T.n, T.zero, T.one
-    rep = AxiomReport()
+    add, mul = T.hyperadd, T.mul
+    res, wit = {}, {}
 
-    def fail(name, witness):
-        rep.results[name] = False
-        rep.witnesses[name] = witness
+    def record(name, witness):
+        res[name] = witness is None
+        if witness is not None:
+            wit[name] = witness
 
-    # commutativity of hyperaddition
-    rep.results["commutativity"] = True
-    for x in range(n):
-        for y in range(x + 1, n):
-            if T.hyperadd[x][y] != T.hyperadd[y][x]:
-                fail("commutativity", (x, y))
-                break
-        if not rep.results["commutativity"]:
-            break
-
-    w = assoc_witness(n, T.hyperadd)
-    rep.results["associativity"] = w is None
-    if w is not None:
-        rep.witnesses["associativity"] = w
-
-    rep.results["neutral-zero"] = all(
-        T.hyperadd[x][z] == 1 << x for x in range(n))
-    if not rep.results["neutral-zero"]:
-        rep.witnesses["neutral-zero"] = tuple(
-            x for x in range(n) if T.hyperadd[x][z] != 1 << x)[:1]
-
-    rep.results["unique-negative"] = True
-    for x in range(n):
-        negs = [y for y in range(n) if T.hyperadd[x][y] >> z & 1]
-        if len(negs) != 1:
-            fail("unique-negative", (x, tuple(negs)))
-            break
-
-    # reversibility: x in y + z  =>  z in x + (-y)
-    rep.results["reversibility"] = True
-    neg = [None] * n
-    for x in range(n):
-        negs = [y for y in range(n) if T.hyperadd[x][y] >> z & 1]
-        neg[x] = negs[0] if negs else None
-    for y in range(n):
-        if neg[y] is None:
-            continue
-        for zz in range(n):
-            m = T.hyperadd[y][zz]
-            while m:
-                x = (m & -m).bit_length() - 1
-                if not T.hyperadd[x][neg[y]] >> zz & 1:
-                    fail("reversibility", (x, y, zz))
-                    m = 0
-                    break
-                m &= m - 1
-            if not rep.results["reversibility"]:
-                break
-        if not rep.results["reversibility"]:
-            break
-
-    w = distrib_witness(n, T.hyperadd, T.mul)
-    rep.results["distributivity"] = w is None
-    if w is not None:
-        rep.witnesses["distributivity"] = w
-    # absorbing zero is part of the multiplication contract
-    if rep.results["distributivity"]:
-        bad = [u for u in range(n)
-               if T.mul[u][z] != z or T.mul[z][u] != z]
-        if bad:
-            fail("distributivity", (bad[0], z, z))
-
-    rep.results["monoid-multiplication"] = True
-    for x in range(n):
-        if T.mul[x][o] != x or T.mul[o][x] != x:
-            fail("monoid-multiplication", (x,))
-            break
-    if rep.results["monoid-multiplication"]:
-        for x in range(n):
-            for y in range(n):
-                for zz in range(n):
-                    if T.mul[T.mul[x][y]][zz] != T.mul[x][T.mul[y][zz]]:
-                        fail("monoid-multiplication", (x, y, zz))
-                        break
-                else:
-                    continue
-                break
-            else:
-                continue
-            break
-
-    rep.results["zero-one-distinct"] = z != o
-
-    rep.results["multiplicative-group"] = True
+    record("commutativity", next(
+        ((x, y) for x in range(n) for y in range(x + 1, n)
+         if add[x][y] != add[y][x]), None))
+    record("neutral-zero", next(
+        ((x,) for x in range(n) if add[x][z] != 1 << x), None))
+    negs = [[y for y in range(n) if add[x][y] >> z & 1] for x in range(n)]
+    record("unique-negative", next(
+        ((x, tuple(ns)) for x, ns in enumerate(negs) if len(ns) != 1), None))
+    # reversibility: x in y + w  =>  w in x + (-y)
+    record("reversibility", next(
+        ((x, y, w) for y in range(n) if negs[y] for w in range(n)
+         for x in _bits(add[y][w]) if not add[x][negs[y][0]] >> w & 1),
+        None))
+    res["zero-one-distinct"] = z != o
     nonzero = [x for x in range(n) if x != z]
-    for x in nonzero:
-        row = [T.mul[x][y] for y in nonzero]
-        if z in row or sorted(row) != nonzero:
-            fail("multiplicative-group", (x,))
-            break
-    return rep
+    record("multiplicative-group", next(
+        ((x,) for x in nonzero
+         if sorted(mul[x][y] for y in nonzero) != nonzero), None))
+    identity = next(
+        ((x,) for x in range(n) if mul[x][o] != x or mul[o][x] != x), None)
+    # absorbing zero is part of the multiplication contract
+    absorbing = next(
+        (u for u in range(n) if mul[u][z] != z or mul[z][u] != z), None)
+    gens = None
+    if identity is None and res["multiplicative-group"]:
+        gens = subgroup_generators(lambda a, b: mul[a][b], o, nonzero)
+
+    # Light's test: {zero} + gens generates the carrier
+    if identity is not None:
+        record("monoid-multiplication", identity)
+    elif gens is not None and _light_test(mul, [z] + gens):
+        res["monoid-multiplication"] = True
+    else:
+        record("monoid-multiplication", _monoid_witness(mul))
+
+    # distributivity is closed under associative products
+    if (gens is not None and absorbing is None and res["neutral-zero"]
+            and res["monoid-multiplication"]
+            and _distributes(add, mul, gens)):
+        res["distributivity"] = True
+    else:
+        w = distrib_witness(n, add, mul)
+        if w is None and absorbing is not None:
+            w = (absorbing, z, z)
+        record("distributivity", w)
+
+    # a unit x scales the bracketings of (1, y/x, w/x) onto (x, y, w)
+    if (gens is not None and res["distributivity"]
+            and _associates(add, (z, o))):
+        res["associativity"] = True
+    else:
+        record("associativity", assoc_witness(n, add))
+
+    return AxiomReport({a: res[a] for a in AxiomReport.AXIOMS},
+                       {a: wit[a] for a in AxiomReport.AXIOMS if a in wit})
+
+
+def _light_test(mul, A):
+    """Whether (x a) y = x (a y) for every a in A and all x, y: row xa of
+    the product table against row x read through row a."""
+    return all(mul[mul[x][a]] == [mx[b] for b in mul[a]]
+               for a in A for x, mx in enumerate(mul))
+
+
+def _monoid_witness(mul):
+    """First (x, y, z) with (xy)z != x(yz), or None: all n^3 triples."""
+    n = len(mul)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def _distributes(add, mul, us):
+    """Whether u(v + w) = uv + uw for every u in us and all v, w."""
+    n = len(add)
+    for u in us:
+        mu = mul[u]
+        for v in range(n):
+            row = add[mu[v]]
+            for w in range(n):
+                image = 0
+                for s in _bits(add[v][w]):
+                    image |= 1 << mu[s]
+                if image != row[mu[w]]:
+                    return False
+    return True
+
+
+def _associates(add, xs):
+    """Whether (x + y) + w = x + (y + w) for every x in xs and all y, w."""
+    n = len(add)
+    for x in xs:
+        rx = add[x]
+        for y in range(n):
+            rows = [add[s] for s in _bits(rx[y])]
+            for w in range(n):
+                left = right = 0
+                for r in rows:
+                    left |= r[w]
+                for s in _bits(add[y][w]):
+                    right |= rx[s]
+                if left != right:
+                    return False
+    return True
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def krasner():
@@ -434,13 +467,7 @@ def hyperfield_to_geometry(T):
     for i, x in enumerate(points):
         for y in points[i + 1:]:
             mask = T.hyperadd[x][y] | 1 << x | 1 << y
-            line = []
-            m = mask
-            while m:
-                w = (m & -m).bit_length() - 1
-                if w != z:
-                    line.append(pidx[w])
-                m &= m - 1
+            line = [pidx[w] for w in _bits(mask) if w != z]
             lines.add(tuple(sorted(line)))
     meta = {"construction": "hyperfield", "carrier": [T.labels[p] for p in points]}
     return IncidenceStructure(len(points), sorted(lines), meta)
@@ -534,11 +561,8 @@ def _check_table_map(T1, T2, phi):
             if phi[T1.mul[x][y]] != T2.mul[phi[x]][phi[y]]:
                 return False
             img = 0
-            m = T1.hyperadd[x][y]
-            while m:
-                w = (m & -m).bit_length() - 1
+            for w in _bits(T1.hyperadd[x][y]):
                 img |= 1 << phi[w]
-                m &= m - 1
             if img != T2.hyperadd[phi[x]][phi[y]]:
                 return False
     return True

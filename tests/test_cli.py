@@ -66,6 +66,12 @@ def test_hyper_stdout_pinned(capsys):
     "classical --q 100000000000031",              # a prime above 2^20
     "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
     "hyper quotient --p 3 --ext 100000000",       # GF(3^(10^8))
+    "hyper quotient --p 3 --q-deg 10000000 --ext 1",  # q = 3^(10^7)
+    "hughes --group fieldquot:p=3,n=1,m=100000000 --targets 2",
+    "lemma --p 100000000000031 --max 2",          # a prime above 2^20
+    "lemma --p 2 --max 4096",                     # 2^8192: 8193 bits
+    "lemma --p 1048573 --max 205",                # 8200 bits
+    "lemma --p 2 --max 100000",
 ])
 def test_refusals_past_the_caps_are_fast(argv, capsys):
     t0 = time.perf_counter()
@@ -213,6 +219,24 @@ def test_lemma(capsys):
     assert any(not row["asserted"] for row in obj["table"])
     code, _, _ = run(["lemma", "--p", "4"], capsys)
     assert code == 1
+
+
+def test_lemma_cap(tmp_path, capsys):
+    """The sweep's largest integer, p^(2 max), has at most LEMMA_BITS_CAP
+    bits; `--verify-only` on a payload past the cap is refused the same
+    way as the command, fast."""
+    top = payload(["lemma", "--p", "1048573", "--max", "200"], capsys)
+    assert top["failures"] == [] and len(top["table"]) == 1098
+    path = tmp_path / "lemma.json"
+    for p, m in ((100000000000031, 2), (2, 4096), (1048573, 205),
+                 (2, 100000)):
+        path.write_text(json.dumps({"p": p, "max": m, "table": [],
+                                    "failures": []}))
+        t0 = time.perf_counter()
+        code, out, err = run(["--verify-only", str(path)], capsys)
+        assert time.perf_counter() - t0 < 2
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_no_subcommand(capsys):

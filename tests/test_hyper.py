@@ -1,10 +1,12 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
 from singer.groups import Cyclic
 from singer import hyper
+from singer._backend import assoc_witness, distrib_witness
 from singer import gf
 from singer import geometry as geo
 
@@ -257,3 +259,167 @@ def test_json_roundtrip():
     again = hyper.HyperTable.from_json(T.to_json())
     assert again.labels == T.labels
     assert again.mul == T.mul and again.hyperadd == T.hyperadd
+
+
+def _exhaustive_check_axioms(T):
+    """The reference: check_axioms before its reductions, every cubic axiom
+    scanned over all triples."""
+    n, z, o = T.n, T.zero, T.one
+    rep = hyper.AxiomReport()
+
+    def fail(name, witness):
+        rep.results[name] = False
+        rep.witnesses[name] = witness
+
+    # commutativity of hyperaddition
+    rep.results["commutativity"] = True
+    for x in range(n):
+        for y in range(x + 1, n):
+            if T.hyperadd[x][y] != T.hyperadd[y][x]:
+                fail("commutativity", (x, y))
+                break
+        if not rep.results["commutativity"]:
+            break
+
+    w = assoc_witness(n, T.hyperadd)
+    rep.results["associativity"] = w is None
+    if w is not None:
+        rep.witnesses["associativity"] = w
+
+    rep.results["neutral-zero"] = all(
+        T.hyperadd[x][z] == 1 << x for x in range(n))
+    if not rep.results["neutral-zero"]:
+        rep.witnesses["neutral-zero"] = tuple(
+            x for x in range(n) if T.hyperadd[x][z] != 1 << x)[:1]
+
+    rep.results["unique-negative"] = True
+    for x in range(n):
+        negs = [y for y in range(n) if T.hyperadd[x][y] >> z & 1]
+        if len(negs) != 1:
+            fail("unique-negative", (x, tuple(negs)))
+            break
+
+    # reversibility: x in y + z  =>  z in x + (-y)
+    rep.results["reversibility"] = True
+    neg = [None] * n
+    for x in range(n):
+        negs = [y for y in range(n) if T.hyperadd[x][y] >> z & 1]
+        neg[x] = negs[0] if negs else None
+    for y in range(n):
+        if neg[y] is None:
+            continue
+        for zz in range(n):
+            m = T.hyperadd[y][zz]
+            while m:
+                x = (m & -m).bit_length() - 1
+                if not T.hyperadd[x][neg[y]] >> zz & 1:
+                    fail("reversibility", (x, y, zz))
+                    m = 0
+                    break
+                m &= m - 1
+            if not rep.results["reversibility"]:
+                break
+        if not rep.results["reversibility"]:
+            break
+
+    w = distrib_witness(n, T.hyperadd, T.mul)
+    rep.results["distributivity"] = w is None
+    if w is not None:
+        rep.witnesses["distributivity"] = w
+    # absorbing zero is part of the multiplication contract
+    if rep.results["distributivity"]:
+        bad = [u for u in range(n)
+               if T.mul[u][z] != z or T.mul[z][u] != z]
+        if bad:
+            fail("distributivity", (bad[0], z, z))
+
+    rep.results["monoid-multiplication"] = True
+    for x in range(n):
+        if T.mul[x][o] != x or T.mul[o][x] != x:
+            fail("monoid-multiplication", (x,))
+            break
+    if rep.results["monoid-multiplication"]:
+        for x in range(n):
+            for y in range(n):
+                for zz in range(n):
+                    if T.mul[T.mul[x][y]][zz] != T.mul[x][T.mul[y][zz]]:
+                        fail("monoid-multiplication", (x, y, zz))
+                        break
+                else:
+                    continue
+                break
+            else:
+                continue
+            break
+
+    rep.results["zero-one-distinct"] = z != o
+
+    rep.results["multiplicative-group"] = True
+    nonzero = [x for x in range(n) if x != z]
+    for x in nonzero:
+        row = [T.mul[x][y] for y in nonzero]
+        if z in row or sorted(row) != nonzero:
+            fail("multiplicative-group", (x,))
+            break
+    return rep
+
+
+def _assert_same_report(T):
+    got, ref = hyper.check_axioms(T), _exhaustive_check_axioms(T)
+    assert (got.results, got.witnesses) == (ref.results, ref.witnesses)
+    assert list(got.results) == list(ref.results)
+    return got
+
+
+def _criterion_5_tables():
+    yield hyper.krasner()
+    for n in range(3, 11):
+        yield hyper.k_algebra(Cyclic(n))
+    for q, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (5, 3)):
+        yield hyper.field_quotient_table(q, m)
+
+
+def test_reduced_axioms_match_exhaustive():
+    """check_axioms proves the cubic axioms from generators; its report
+    must be the exhaustive one on the criterion-5 tables and on every
+    quotient of _quotient_specs, Z/m for m <= 30 included."""
+    for T in _criterion_5_tables():
+        _assert_same_report(T)
+    for Q in _quotient_specs():
+        _assert_same_report(hyper.quotient_hyperring(Q))
+
+
+_SMALL = [T for T in _criterion_5_tables() if T.n <= 14] + [
+    hyper.quotient_hyperring(hyper.QuotientSpec(("zmod", m), (u,)))
+    for m, u in ((7, 2), (9, 8), (10, 9), (11, 10), (12, 5))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_reduced_axioms_match_exhaustive_on_tampered_tables(data):
+    """One changed hypersum, one changed symmetric pair of hypersums, or
+    one changed product: every fallback of check_axioms is reached, and
+    it must still give the exhaustive report."""
+    base = data.draw(st.sampled_from(_SMALL))
+    T = hyper.HyperTable.from_json(base.to_json())
+    n = T.n
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(("sum", "pair", "product")))
+    if kind == "product":
+        T.mul[x][y] = data.draw(st.integers(0, n - 1))
+    else:
+        T.hyperadd[x][y] = data.draw(st.integers(1, (1 << n) - 1))
+        if kind == "pair":
+            T.hyperadd[y][x] = T.hyperadd[x][y]
+    _assert_same_report(T)
+
+
+def test_passing_tables_skip_the_cubic_scans(monkeypatch):
+    def cubic(*args):
+        raise AssertionError("cubic scan on a passing table")
+
+    for name in ("assoc_witness", "distrib_witness", "_monoid_witness"):
+        monkeypatch.setattr(hyper, name, cubic)
+    for T in (hyper.field_quotient_table(8, 3), hyper.k_algebra(Cyclic(30))):
+        assert hyper.check_axioms(T).passed()
