@@ -13,9 +13,8 @@ from .diffsets import (PartialDifferenceSet, differences, verify_partial,
                        hughes_step, hughes_build, replay_chain)
 from .geometry import (IncidenceStructure, verify_plane,
                        plane_from_difference_set, right_translation_action,
-                       pg_space, verify_singer_action, verify_virtual_singer,
-                       Collineation, fixed_points, char_poly,
-                       isomorphic_planes)
+                       pg_space, verify_singer_action, Collineation,
+                       fixed_points, char_poly, isomorphic_planes)
 from .hyper import (HyperTable, check_axioms, krasner, k_algebra,
                     QuotientSpec, quotient_hyperring, field_quotient_table,
                     contains_krasner, hyperfield_to_geometry,

@@ -41,6 +41,7 @@ def _emit(payload, out=None):
 # ---------------------------------------------------------------------------
 
 def cmd_classical(args):
+    geometry.pg_size(args.q, args.m)
     G, pds = diffsets.classical_singer(args.q, args.m)
     _log(f"hyperplane set: v={G.order} k={len(pds.elements)}")
     payload = {"difference_set": pds.to_json()}
@@ -297,6 +298,8 @@ def cmd_verify_only_obj(obj):
         return {"kind": "plane", "certificate": cert.to_json()}, cert.ok
     if "space" in obj and "difference_set" in obj:
         return _verify_singer_space(obj)
+    if "plane" in obj and "difference_set" in obj:
+        return _verify_singer_plane(obj)
     if "difference_set" in obj:
         report, ok = cmd_verify_only_obj(obj["difference_set"])
         if "log" in obj or "log_hash" in obj:
@@ -327,6 +330,38 @@ def _verify_lemma(obj):
     return report, report["table_matches"] and report["failures_match"]
 
 
+def _verify_singer_plane(obj):
+    """A `classical --m 2` payload.  Its set must be a perfect difference
+    set, its plane must be the development of the set, and the plane and
+    the group's action on it must pass their certificates.  Every recorded
+    certificate must equal the recomputed one."""
+    S = diffsets.PartialDifferenceSet.from_json(obj["difference_set"])
+    gamma = geometry.IncidenceStructure.from_json(obj["plane"])
+    G = S.group
+    # the point cap bounds the plane, so compare orders before any
+    # group-sized work
+    if G.order != gamma.npoints:
+        return {"kind": "singer-plane", "plane_matches": False}, False
+    cert = diffsets.verify_perfect(S)
+    report = {"kind": "singer-plane", "perfect": cert.ok,
+              "plane_matches": cert.ok and obj["plane"] == (
+                  geometry.plane_from_difference_set(
+                      G, diffsets.certify(S)).to_json())}
+    if not report["plane_matches"]:
+        return report, False
+    pcert = geometry.verify_plane(gamma)
+    acert = geometry.verify_singer_action(
+        gamma, G, geometry.right_translation_action(G))
+    report["plane_certificate"] = pcert.to_json()
+    report["action"] = {"ok": acert.ok, "detail": acert.detail}
+    report["recorded_matches"] = (
+        obj.get("perfect") == cert.ok and obj.get("detail") == cert.detail
+        and obj.get("plane_certificate") == report["plane_certificate"]
+        and obj.get("action_regular") == acert.ok
+        and obj.get("action_detail") == acert.detail)
+    return report, pcert.ok and acert.ok and report["recorded_matches"]
+
+
 def _verify_singer_space(obj):
     """A `classical --m >= 3` payload.  Its hyperplane set is not a
     lambda = 1 set, so instead the set and the space must equal the ones
@@ -336,6 +371,7 @@ def _verify_singer_space(obj):
     q, m = gamma.meta.get("q"), gamma.meta.get("m")
     if type(q) is not int or type(m) is not int:
         raise DomainError("space meta needs integers q and m")
+    geometry.pg_size(q, m)
     G, pds = diffsets.classical_singer(q, m)
     report = {
         "kind": "singer-space",

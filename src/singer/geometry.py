@@ -12,8 +12,13 @@ from fractions import Fraction
 from .errors import DomainError, CapError
 from . import gf
 from ._backend import line_pair_witness, coverage_witness
+from .groups import subgroup_generators
 
 POINT_CAP = 10 ** 5
+# The most point-line incidences, v(v - 1)/q, that PG(m, q) may have.  It
+# admits PG(10, 2) (2.1M) and PG(7, 3) (3.6M); PG(11, 2) would have 8.4M
+# and need gigabytes.
+INCIDENCE_CAP = 2 ** 22
 ISO_NODE_CAP = 10 ** 7
 
 
@@ -224,16 +229,29 @@ def _normalize(F, vec):
     return tuple(F.mul(il, x) for x in vec)
 
 
+def pg_size(q, m):
+    """(p, a, v) for PG(m, q), with q = p^a and v points, before anything
+    is built.  Raises CapError when GF(q^(m+1)) passes the field cap, which
+    is checked first so that no huge power is formed, or when PG(m, q) has
+    more than INCIDENCE_CAP incidences."""
+    p, a = gf.factor_prime_power(q)
+    if m < 1:
+        raise DomainError("dimension must be >= 1")
+    gf.check_field_size(p, a * (m + 1))
+    v = (q ** (m + 1) - 1) // (q - 1)
+    if v * (v - 1) // q > INCIDENCE_CAP:
+        raise CapError(f"PG({m}, {q}) exceeds the cap of {INCIDENCE_CAP} "
+                       f"point-line incidences")
+    return p, a, v
+
+
 def pg_space(m, q):
     """Points = 1-spaces, lines = 2-spaces of GF(q)^{m+1}, by coordinates.
 
     The reference for `pg_singer_structure` at small sizes: it spans every
     pair of points, O(v^2 q^2) field operations."""
-    p_, a = gf.factor_prime_power(q)
+    p_, a, v = pg_size(q, m)
     F = gf.GF(p_, a)
-    v = (q ** (m + 1) - 1) // (q - 1)
-    if v > POINT_CAP:
-        raise CapError("point cap exceeded")
     dim = m + 1
     points = _proj_points(F, dim)
     index = {vec: i for i, vec in enumerate(points)}
@@ -265,11 +283,8 @@ def pg_singer_structure(q, m):
     point t, and each line is built once, as L + t with max(L) + t < v.
     That is fewer than v field additions, against O(v^2 q^2) operations
     in `pg_space`."""
-    p_, a = gf.factor_prime_power(q)
+    p_, a, v = pg_size(q, m)
     F = gf.GF(p_, a * (m + 1))
-    v = (q ** (m + 1) - 1) // (q - 1)
-    if v > POINT_CAP:
-        raise CapError("point cap exceeded")
     _, exp, log = gf.log_tables(F)
     N = F.q - 1
     through0 = []
@@ -298,11 +313,68 @@ class ActionCertificate:
         return self.ok
 
 
+def _preserves_lines(gamma, images, line_masks):
+    """Whether the point map `images` sends every line of gamma to a line."""
+    for line in gamma.lines:
+        im = 0
+        for p in line:
+            im |= 1 << images[p]
+        if im not in line_masks:
+            return False
+    return True
+
+
 def verify_singer_action(gamma, G, action):
     """Certify that every group element maps lines to lines and that the
-    point action is regular (each ordered pair has exactly one mover)."""
+    point action is regular (each ordered pair has exactly one mover).
+
+    Only the identity and the generators T of G are mapped against the
+    lines.  Each point's orbit column then proves pi(g t) = pi(t) o pi(g)
+    for every g in G and t in T, so every pi(g) is a composite of
+    line-preserving maps (DECISIONS.md, "Singer actions from generators").
+    The action is still evaluated 2 |G| v times, but the line work falls
+    from |G| to |T| + 1 maps.  Any failure returns the exhaustive
+    certificate, so the result is the exhaustive one on every input."""
     if G.order is None:
         raise DomainError("finite groups only")
+    els = G.enumerate(G.order)
+    npts = gamma.npoints
+    T = subgroup_generators(G.mul, G.identity, els)
+    if T is None or len(els) != npts:
+        return _exhaustive_singer_action(gamma, G, action)
+    points = list(range(npts))
+    checked = set(T) | {G.identity}
+    rows = {}
+    for g in els:
+        images = [action(g, p) for p in points]
+        if sorted(images) != points:
+            return _exhaustive_singer_action(gamma, G, action)
+        if g in checked:
+            rows[g] = images
+    line_masks = gamma.line_set()
+    if not all(_preserves_lines(gamma, images, line_masks)
+               for images in rows.values()):
+        return _exhaustive_singer_action(gamma, G, action)
+    index = {g: i for i, g in enumerate(els)}
+    # products[k][i] is the index of els[i] * T[k]
+    products = [[index[G.mul(g, t)] for g in els] for t in T]
+    point_set = set(points)
+    for p in points:
+        col = [action(g, p) for g in els]
+        # |G| = v images that cover the points: free and transitive at p
+        if set(col) != point_set:
+            return _exhaustive_singer_action(gamma, G, action)
+        for t, prod in zip(T, products):
+            row = rows[t]
+            if [col[j] for j in prod] != [row[q] for q in col]:
+                return _exhaustive_singer_action(gamma, G, action)
+    return ActionCertificate(True, {"group_order": len(els),
+                                    "points": npts})
+
+
+def _exhaustive_singer_action(gamma, G, action):
+    """`verify_singer_action` by mapping every line through every group
+    element: the reference, and the source of every failure report."""
     line_masks = gamma.line_set()
     els = G.enumerate(G.order)
     npts = gamma.npoints
@@ -311,13 +383,9 @@ def verify_singer_action(gamma, G, action):
         if sorted(images) != list(range(npts)):
             return ActionCertificate(False, {"reason": "not a permutation",
                                              "g": G.canon(g)})
-        for line in gamma.lines:
-            im = 0
-            for p in line:
-                im |= 1 << images[p]
-            if im not in line_masks:
-                return ActionCertificate(False, {
-                    "reason": "line not preserved", "g": G.canon(g)})
+        if not _preserves_lines(gamma, images, line_masks):
+            return ActionCertificate(False, {
+                "reason": "line not preserved", "g": G.canon(g)})
     for p in range(npts):
         seen = {}
         for g in els:
@@ -332,30 +400,6 @@ def verify_singer_action(gamma, G, action):
                 "reason": "not transitive", "point": p})
     return ActionCertificate(True, {"group_order": len(els),
                                     "points": npts})
-
-
-def verify_virtual_singer(gamma, G, action):
-    """(free, orbit_count): free iff only the identity fixes any point."""
-    if G.order is None:
-        raise DomainError("finite groups only")
-    els = G.enumerate(G.order)
-    e = G.identity
-    free = True
-    for g in els:
-        if g == e:
-            continue
-        if any(action(g, p) == p for p in range(gamma.npoints)):
-            free = False
-            break
-    seen = set()
-    orbits = 0
-    for p in range(gamma.npoints):
-        if p in seen:
-            continue
-        orbits += 1
-        for g in els:
-            seen.add(action(g, p))
-    return free, orbits
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ def test_hyper_stdout_pinned(capsys):
     "hyper quotient --p 2 --q-deg 2 --ext 10",    # orbits of size <= 3
     "classical --q 100000000000031",              # a prime above 2^20
     "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
+    "classical --q 2 --m 11",                     # 8.4M incidences
+    "classical --q 2 --m 15",                     # 2.1G incidences
     "hyper quotient --p 3 --ext 100000000",       # GF(3^(10^8))
     "hyper quotient --p 3 --q-deg 10000000 --ext 1",  # q = 3^(10^7)
     "hughes --group fieldquot:p=3,n=1,m=100000000 --targets 2",
@@ -320,6 +322,41 @@ def test_verify_only_roundtrips(tmp_path, capsys):
         code, out, err = run(["--verify-only", str(bad)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_only_rechecks_classical_plane(tmp_path, capsys):
+    """A whole `classical --m 2` payload: the plane is rebuilt from the
+    set, and every recorded certificate is recomputed."""
+    path = tmp_path / "plane.json"
+    for q in ("2", "3", "4"):
+        obj = payload(["--out", str(path), "classical", "--q", q], capsys)
+        code, out, _ = run(["--verify-only", str(path)], capsys)
+        rep = json.loads(out)
+        assert code == 0 and rep["kind"] == "singer-plane"
+        assert rep["perfect"] and rep["plane_matches"]
+        assert rep["recorded_matches"] and rep["action"]["ok"]
+        assert rep["plane_certificate"] == obj["plane_certificate"]
+    v = obj["plane"]["points"]
+
+    def move_point(o):
+        line = o["plane"]["lines"][0]
+        line[-1] = next(x for x in range(v) if x not in line)
+
+    def move_element(o):
+        els = o["difference_set"]["elements"]
+        els[-1] = str(next(x for x in range(v) if str(x) not in els))
+
+    for edit in (move_point, move_element,
+                 lambda o: o.__setitem__("perfect", False),
+                 lambda o: o["detail"].__setitem__("k", 4),
+                 lambda o: o["plane_certificate"].__setitem__("order", 3),
+                 lambda o: o.__setitem__("action_regular", False),
+                 lambda o: o["action_detail"].__setitem__("points", 20)):
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        path.write_text(json.dumps(bad))
+        code, out, _ = run(["--verify-only", str(path)], capsys)
+        assert code == 2 and json.loads(out)["kind"] == "singer-plane"
 
 
 def test_verify_only_replays_hughes_log(tmp_path, capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from singer.errors import DomainError
-from singer.groups import Cyclic, Symmetric
+from singer.errors import CapError, DomainError
+from singer.groups import Abelian, Cyclic, Symmetric, subgroup_generators
 from singer import diffsets as ds
 from singer import geometry as geo
 from singer import gf
@@ -128,27 +128,139 @@ def test_singer_action_counterexamples():
     gamma = fano()
     # the identity action of a trivial group is not transitive
     G1 = Cyclic(1)
-    c = geo.verify_singer_action(gamma, G1, lambda g, p: p)
+    c = _same_as_exhaustive(gamma, G1, lambda g, p: p)
     assert not c.ok and c.detail["reason"] == "not transitive"
     # too-small group acting by shift: lines not preserved / not transitive
     G3 = Cyclic(3)
     act3 = lambda g, p: (p + g) % 7
-    c2 = geo.verify_singer_action(gamma, G3, act3)
+    c2 = _same_as_exhaustive(gamma, G3, act3)
     assert not c2.ok
 
 
-def test_virtual_singer():
-    G = Cyclic(7)
-    gamma = fano()
-    assert geo.verify_virtual_singer(
-        gamma, G, geo.right_translation_action(G)) == (True, 1)
-    G1 = Cyclic(1)
-    free, orbits = geo.verify_virtual_singer(gamma, G1, lambda g, p: p)
-    assert free and orbits == 7
-    # an element with a fixed point breaks freeness
-    G2 = Cyclic(2)
-    swap = lambda g, p: p if g == 0 else (p ^ 1 if p < 6 else p)
-    assert geo.verify_virtual_singer(gamma, G2, swap)[0] is False
+def _same_as_exhaustive(gamma, G, act):
+    """The certificate, after checking that the generator-based one equals
+    the exhaustive reference field for field."""
+    cert = geo.verify_singer_action(gamma, G, act)
+    assert cert == geo._exhaustive_singer_action(gamma, G, act)
+    return cert
+
+
+def _classical_plane(q):
+    G, S = ds.classical_singer(q, 2)
+    return geo.plane_from_difference_set(G, S), G
+
+
+def _greedy_plane(G):
+    """The plane-like structure of a greedy certified partial set of G: its
+    lines are translates, so right translation preserves them."""
+    els = ()
+    for e in G.elements():
+        if ds.verify_partial(ds.PartialDifferenceSet(G, els + (e,))):
+            els += (e,)
+    return geo.plane_from_difference_set(G, pds(G, els))
+
+
+def _moved_line(gamma, i):
+    """gamma with one point of line i moved, so that it is no other line."""
+    lines = [list(l) for l in gamma.lines]
+    for p in range(gamma.npoints):
+        moved = sorted(lines[i][1:] + [p])
+        if p not in lines[i] and tuple(moved) not in gamma.lines:
+            lines[i] = moved
+            return geo.IncidenceStructure(gamma.npoints, lines)
+
+
+def _singer_groups():
+    yield fano(), Cyclic(7)
+    for q, m in ((3, 2), (2, 3), (4, 2)):
+        yield geo.pg_singer_structure(q, m), Cyclic(
+            (q ** (m + 1) - 1) // (q - 1))
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        yield _classical_plane(q)
+
+
+def test_singer_action_matches_exhaustive():
+    for gamma, G in _singer_groups():
+        act = geo.right_translation_action(G)
+        assert _same_as_exhaustive(gamma, G, act).detail == {
+            "group_order": G.order, "points": gamma.npoints}
+
+
+@pytest.mark.parametrize("G", [Symmetric(4), Abelian((3, 3))],
+                         ids=str)
+def test_singer_action_non_cyclic(G):
+    assert len(subgroup_generators(G.mul, G.identity,
+                                   list(G.elements()))) >= 2
+    gamma = _greedy_plane(G)
+    act = geo.right_translation_action(G)
+    assert _same_as_exhaustive(gamma, G, act).ok
+    # a moved line: some generator maps a line off the line set
+    cert = _same_as_exhaustive(_moved_line(gamma, 1), G, act)
+    assert not cert.ok and cert.detail["reason"] == "line not preserved"
+
+
+def _tampered(act, rows):
+    """`act` with the rows named in `rows` (g -> point map) replaced."""
+    return lambda g, p: rows[g](p) if g in rows else act(g, p)
+
+
+def test_singer_action_tampered_actions():
+    gamma, G = geo.pg_singer_structure(3, 2), Cyclic(13)
+    shift = geo.right_translation_action(G)
+    # not a permutation at a late element
+    act = _tampered(shift, {11: lambda p: shift(11, 0 if p == 1 else p)})
+    assert _same_as_exhaustive(gamma, G, act).detail == {
+        "reason": "not a permutation", "g": "11"}
+    # a permutation that is not a collineation, at the non-generator 4
+    # only: the line test sees just the identity and the generator 1
+    act = _tampered(shift, {4: lambda p: shift(4, {0: 1, 1: 0}.get(p, p))})
+    assert _same_as_exhaustive(gamma, G, act).detail == {
+        "reason": "line not preserved", "g": "4"}
+
+    # PG(3, 3) has 40 points, so rows 3 and 5 can trade their even
+    # points and every row and column stays a bijection: only the
+    # homomorphism check sees that pi(3) is not a collineation
+    gamma, G = geo.pg_singer_structure(3, 3), Cyclic(40)
+    shift = geo.right_translation_action(G)
+    act = _tampered(shift, {
+        3: lambda p: shift(5 if p % 2 == 0 else 3, p),
+        5: lambda p: shift(3 if p % 2 == 0 else 5, p)})
+    for p in range(40):
+        assert sorted(act(g, p) for g in range(40)) == list(range(40))
+    assert _same_as_exhaustive(gamma, G, act).detail == {
+        "reason": "line not preserved", "g": "3"}
+    # rows 3 and 5 swapped whole: every row is a collineation, but the
+    # action is not a homomorphism, so the exhaustive pass is returned
+    act = _tampered(shift, {3: lambda p: shift(5, p),
+                            5: lambda p: shift(3, p)})
+    assert _same_as_exhaustive(gamma, G, act).ok
+
+
+def test_singer_action_tampered_plane():
+    for q in (3, 4):
+        gamma, G = _classical_plane(q)
+        cert = _same_as_exhaustive(_moved_line(gamma, 2), G,
+                                   geo.right_translation_action(G))
+        assert cert.detail["reason"] == "line not preserved"
+
+
+def test_passing_actions_never_reach_the_exhaustive_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exhaustive fallback reached")
+
+    monkeypatch.setattr(geo, "_exhaustive_singer_action", refuse)
+    for gamma, G in (_classical_plane(16),
+                     (geo.pg_singer_structure(2, 3), Cyclic(15))):
+        assert geo.verify_singer_action(
+            gamma, G, geo.right_translation_action(G)).ok
+
+
+def test_incidence_cap():
+    assert geo.pg_size(2, 10) == (2, 1, 2047)
+    assert geo.pg_size(3, 7) == (3, 1, 3280)
+    for q, m in ((2, 11), (4, 6), (3, 8), (2, 15)):
+        with pytest.raises(CapError, match="incidences"):
+            geo.pg_singer_structure(q, m)
 
 
 def test_pg_singer_structure():
