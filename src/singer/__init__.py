@@ -7,14 +7,14 @@ from ._backend import BACKEND
 from .errors import SingerError, DomainError, CapError, BoundedFailure
 from .groups import (GroupHandle, Cyclic, FieldQuotient, Abelian, Integers,
                      Free, Symmetric, Monomial, parse_group, has_involution)
-from .gf import GF, field_for_order, singer_divisibility
+from .gf import GF, singer_divisibility
 from .diffsets import (PartialDifferenceSet, differences, verify_partial,
                        verify_perfect, certify, classical_singer,
                        hughes_step, hughes_build, replay_chain)
 from .geometry import (IncidenceStructure, verify_plane,
                        plane_from_difference_set, right_translation_action,
                        pg_space, verify_singer_action, Collineation,
-                       fixed_points, char_poly, isomorphic_planes)
+                       fixed_points, char_poly)
 from .hyper import (HyperTable, check_axioms, krasner, k_algebra,
                     QuotientSpec, quotient_hyperring, field_quotient_table,
                     contains_krasner, hyperfield_to_geometry,

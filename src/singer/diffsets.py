@@ -228,8 +228,7 @@ def _new_differences(G, els, invs, diffs, z, seen):
     return True
 
 
-def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND,
-                abelian_mode=None):
+def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
     """Extend the set so the target d occurs as a difference.
 
     No-op (cursor/log only) when d already is a difference; otherwise scans
@@ -245,8 +244,6 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND,
     """
     S = state.current
     G = S.group
-    if abelian_mode is None:
-        abelian_mode = G.abelian
     G.validate(d)
     if d == G.identity:
         raise DomainError("target must be a nonidentity element")
@@ -285,7 +282,7 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND,
             new_els = (x, y)
         else:
             continue
-        if abelian_mode:
+        if G.abelian:
             # the conjugation collision d^x = s_j^-1 s_i cannot fire when
             # the group is abelian and d is not yet a difference
             conj = G.mul(G.mul(G.inv(x), d), x)
@@ -306,13 +303,12 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND,
 def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
     """Run hughes_step over the first num_targets nonidentity elements.
 
-    Abelian backends are refused outright when an involution is found
-    within the scan bound (they can never carry a planar Singer action);
-    general backends get the same squares check as a precondition."""
+    Groups with an involution are refused outright (an abelian one can
+    never carry a planar Singer action); general backends get the same
+    squares check as a precondition."""
     if num_targets < 1:
         raise DomainError("need at least one target")
-    scan = G.order if G.order is not None else min(search_bound, 10 ** 4)
-    found, witness = has_involution(G, scan)
+    found, witness = has_involution(G)
     if found:
         raise DomainError(
             f"group has an involution ({G.canon(witness)}); an involution "

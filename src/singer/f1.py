@@ -34,11 +34,6 @@ class F1Space:
         self.points = [(i, t) for i in range(m + 1) for t in range(n)]
         self.aut = Monomial(n, m + 1)
 
-    def rotate(self, point, k=1):
-        """The free cyclic action on a fiber."""
-        i, t = point
-        return (i, (t + k) % self.n)
-
     def __repr__(self):
         return f"<f1 space m={self.m} n={self.n}>"
 

@@ -1,5 +1,5 @@
-"""Finite incidence structures: plane axioms, Singer actions, collineation
-fixed points, and a backtracking plane-isomorphism test.
+"""Finite incidence structures: plane axioms, Singer actions and
+collineation fixed points.
 
 Incidence is stored as one bitmask of point indices per line; the axiom
 scans are pairwise bitmask intersections routed through the kernel
@@ -19,7 +19,6 @@ POINT_CAP = 10 ** 5
 # admits PG(10, 2) (2.1M) and PG(7, 3) (3.6M); PG(11, 2) would have 8.4M
 # and need gigabytes.
 INCIDENCE_CAP = 2 ** 22
-ISO_NODE_CAP = 10 ** 7
 
 
 class IncidenceStructure:
@@ -165,15 +164,6 @@ def _find_quadrangle(gamma):
                 return (a, b, c, d)
         return None
     return None
-
-
-def verify_partial_linear(gamma):
-    """Any two distinct points on at most one line."""
-    w = line_pair_witness(gamma.masks, 0, 1)
-    if w is None:
-        return PlaneCertificate(True, None, {"at-most-one-line": True})
-    return PlaneCertificate(False, None, {"at-most-one-line": False},
-                            {"lines": [w[0], w[1]], "common_points": w[2]})
 
 
 def plane_from_difference_set(G, S):
@@ -419,11 +409,6 @@ class Collineation:
         if field == "Q" and frobenius_power:
             raise DomainError("no field automorphisms over the rationals")
 
-    def is_linear(self):
-        if self.field == "Q":
-            return True
-        return self.sigma % self.field.n == 0
-
 
 def apply_collineation(c, vec):
     F = c.field
@@ -595,80 +580,3 @@ def fixed_points_scan(c):
             pts.append(p)
     return pts
 
-
-# ---------------------------------------------------------------------------
-# plane isomorphism
-
-@dataclass
-class IsoResult:
-    status: str          # "iso" | "noniso" | "indeterminate"
-    mapping: list | None = None
-
-    def __bool__(self):
-        return self.status == "iso"
-
-
-def isomorphic_planes(g1, g2, node_cap=ISO_NODE_CAP):
-    """Backtracking search for an incidence-preserving point bijection."""
-    if g1.npoints != g2.npoints or g1.nlines != g2.nlines:
-        return IsoResult("noniso")
-    deg1 = sorted(len(l) for l in g1.lines)
-    deg2 = sorted(len(l) for l in g2.lines)
-    if deg1 != deg2:
-        return IsoResult("noniso")
-
-    n = g1.npoints
-    lines1 = g1.lines
-    lineset2 = g2.line_set()
-    # lines through each point
-    thru1 = [[] for _ in range(n)]
-    for idx, line in enumerate(lines1):
-        for p in line:
-            thru1[p].append(idx)
-    thru2count = [0] * n
-    for line in g2.lines:
-        for p in line:
-            thru2count[p] += 1
-    pdeg1 = [len(thru1[p]) for p in range(n)]
-
-    mapping = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    # map the image of every fully-mapped line to a line of g2
-    def consistent(p):
-        for lidx in thru1[p]:
-            im = 0
-            for q in lines1[lidx]:
-                if mapping[q] < 0:
-                    break
-                im |= 1 << mapping[q]
-            else:
-                if im not in lineset2:
-                    return False
-        return True
-
-    def rec(p):
-        nonlocal nodes
-        if p == n:
-            return True
-        for cand in range(n):
-            if used[cand] or thru2count[cand] != pdeg1[p]:
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                raise CapError("isomorphism node cap")
-            mapping[p] = cand
-            used[cand] = True
-            if consistent(p) and rec(p + 1):
-                return True
-            mapping[p] = -1
-            used[cand] = False
-        return False
-
-    try:
-        if rec(0):
-            return IsoResult("iso", list(mapping))
-        return IsoResult("noniso")
-    except CapError:
-        return IsoResult("indeterminate")

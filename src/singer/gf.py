@@ -20,6 +20,7 @@ from .errors import DomainError, CapError
 SIZE_CAP = 2 ** 20
 
 
+@lru_cache
 def is_prime(n):
     if n < 2:
         return False
@@ -310,11 +311,6 @@ def log_tables(F):
     return g, exp, log
 
 
-def field_for_order(q):
-    p, k = factor_prime_power(q)
-    return GF(p, k)
-
-
 def roots_in_field(coeffs, F):
     """All roots in F of the polynomial with integer-coded coefficients.
 
@@ -381,31 +377,3 @@ def singer_divisibility(p, i, j):
     b = p ** (2 * j) + p ** j + 1
     return b % a == 0
 
-
-def subfield_embedding(Fs, Fb):
-    """Embedding GF(p^i) -> GF(p^j) for i | j, as an element map (dict).
-
-    Sends the small field's generator class to the least root (enumeration
-    order) of the small modulus in the big field; extends multiplicatively
-    and additively via the coefficient representation."""
-    if Fs.p != Fb.p:
-        raise DomainError("characteristics differ")
-    if Fb.n % Fs.n != 0:
-        raise DomainError(f"{Fs.n} does not divide {Fb.n}")
-    codes = tuple(c for c in Fs.modulus)
-    root = None
-    for a in Fb.elements():
-        # modulus coefficients are prime-field scalars, valid in both fields
-        if Fb.eval_poly(codes, a) == 0:
-            root = a
-            break
-    if root is None:
-        raise DomainError("no root of subfield modulus found")  # unreachable
-    emb = {}
-    for a in Fs.elements():
-        cs = Fs.to_coeffs(a)
-        acc = 0
-        for c in reversed(cs):
-            acc = Fb.add(Fb.mul(acc, root), c)
-        emb[a] = acc
-    return emb

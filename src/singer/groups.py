@@ -472,44 +472,19 @@ def parse_group(spec):
     raise DomainError(f"unknown group kind {kind!r}")
 
 
-def _prefix(G, bound):
-    """The first `bound` elements, all of a finite group when bound is None
-    or larger than its order."""
-    if bound is None:
-        if G.order is None:
-            raise DomainError("bound required for infinite groups")
-        bound = G.order
-    return G.enumerate(min(bound, G.order) if G.order else bound)
+def has_involution(G):
+    """Scan the whole group for h != e with h^2 = e.
 
-
-def has_involution(G, bound=None):
-    """Scan the first `bound` elements for h != e with h^2 = e.
-
-    Returns (found, witness).  Exhaustive when bound covers a finite group;
-    for infinite groups the result is a bounded statement only, except that
-    Z and free groups are torsion-free and are answered without a scan.
+    Returns (found, witness).  The infinite groups, Z and free groups, are
+    torsion-free and are answered without a scan.
     """
-    if G.kind in ("integers", "free"):
+    if G.order is None:
         return False, None
     e = G.identity
-    for h in _prefix(G, bound):
+    for h in G.elements():
         if h != e and G.mul(h, h) == e:
             return True, h
     return False, None
-
-
-def square_roots(G, h, bound=None):
-    """All x among the first `bound` enumerated elements with x^2 = h."""
-    G.validate(h)
-    return [x for x in _prefix(G, bound) if G.mul(x, x) == h]
-
-
-def conjugacy_sample(G, h, bound=None):
-    """{ g^-1 h g : g among the first `bound` elements } as a set.
-
-    A lower-bound witness for the conjugacy class size."""
-    G.validate(h)
-    return {G.mul(G.mul(G.inv(g), h), g) for g in _prefix(G, bound)}
 
 
 # ---------------------------------------------------------------------------

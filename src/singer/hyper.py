@@ -17,6 +17,8 @@ from ._backend import assoc_witness, distrib_witness
 from .geometry import IncidenceStructure
 
 CARRIER_CAP = 256
+# The largest q whose quotients GF(q^m)*/GF(q)* classify_extension tries.
+CLASSIFY_MAX_Q = 16
 
 
 class HyperTable:
@@ -602,7 +604,7 @@ def _backtrack_iso(T1, T2):
     return None
 
 
-def classify_extension(T, rep=None, max_q=16):
+def classify_extension(T, rep=None):
     """Place a finite hyperfield extension of the two-element hyperfield:
     (i) single-line group algebra, (ii) finite-field unit quotient, or the
     fallback 'plane-other' with the geometry as evidence.  `rep` is T's
@@ -620,7 +622,7 @@ def classify_extension(T, rep=None, max_q=16):
     if gamma.nlines == 1:
         return {"case": "single-line", "group_order": T.n - 1}
     npts = T.n - 1
-    for q in range(2, max_q + 1):
+    for q in range(2, CLASSIFY_MAX_Q + 1):
         try:
             gf.factor_prime_power(q)
         except DomainError:

@@ -16,12 +16,6 @@ def test_space_point_counts():
         f1.F1Space(10 ** 4, 2)
 
 
-def test_rotate():
-    sp = f1.F1Space(2, 3)
-    assert sp.rotate((1, 2)) == (1, 0)
-    assert sp.rotate((0, 0), 5) == (0, 2)
-
-
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2),
                                  (2, 5), (4, 2)])
 def test_singer_first_regular(m, n):

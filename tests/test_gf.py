@@ -134,24 +134,3 @@ def test_divisibility_lemma_sweep():
                     continue
                 if gcd(j // i, 3) == 1:
                     assert gf.singer_divisibility(p, i, j)
-
-
-@pytest.mark.parametrize("i,j", [(1, 2), (1, 3), (2, 4), (1, 4), (2, 6),
-                                 (3, 6)])
-def test_subfield_embedding(i, j):
-    p = 2
-    Fs, Fb = gf.GF(p, i), gf.GF(p, j)
-    emb = gf.subfield_embedding(Fs, Fb)
-    assert emb[0] == 0 and emb[1] == 1
-    assert len(set(emb.values())) == Fs.q
-    for a in range(Fs.q):
-        for b in range(Fs.q):
-            assert emb[Fs.add(a, b)] == Fb.add(emb[a], emb[b])
-            assert emb[Fs.mul(a, b)] == Fb.mul(emb[a], emb[b])
-
-
-def test_field_for_order():
-    F = gf.field_for_order(9)
-    assert (F.p, F.n) == (3, 2)
-    with pytest.raises(DomainError):
-        gf.field_for_order(6)
