@@ -74,10 +74,6 @@ def test_verify_plane_rejects_k4():
     assert not cert.ok
     assert cert.checks["two-lines-one-point"] is False
     assert cert.counterexample["common_points"] == 0
-    # the development of the partial set {0, 1} in Z_7 has lines of size 2
-    G = Cyclic(7)
-    assert not geo.verify_plane(
-        geo.plane_from_difference_set(G, pds(G, [0, 1]))).ok
 
 
 def test_verify_plane_no_quadrangle():
@@ -92,6 +88,19 @@ def test_verify_plane_missing_coverage():
     assert not cert.ok
     assert cert.checks["two-points-one-line"] is False
     assert cert.counterexample["points"] is not None
+
+
+def test_partial_linear():
+    # the development of {0, 1} in Z_7: two lines share at most one point,
+    # but it is no plane
+    G = Cyclic(7)
+    gamma = geo.plane_from_difference_set(G, pds(G, [0, 1]))
+    assert geo.line_pair_witness(gamma.masks, 0, 1) is None
+    assert not geo.verify_plane(gamma).ok
+    bad = geo.IncidenceStructure(4, [(0, 1, 2), (0, 1, 3)])
+    assert geo.line_pair_witness(bad.masks, 0, 1) == (0, 1, 2)
+    c = geo.verify_plane(bad)
+    assert not c.ok and c.counterexample["points"] == [0, 1]
 
 
 def test_pg_space_counts():
