@@ -128,7 +128,8 @@ def cmd_hyper(args):
         if hyper.is_k_vectorspace(T):
             payload["classification"] = hyper.classify_extension(T, rep)
     elif args.hyper_cmd == "classify":
-        T = _load_table(args)
+        with open(args.infile) as fh:
+            T = hyper.HyperTable.from_json(json.load(fh))
         payload, rep = _table_report(T)
         payload["classification"] = hyper.classify_extension(T, rep)
     else:  # roundtrip
@@ -157,18 +158,9 @@ def cmd_hyper(args):
     return EXIT_VERIFY
 
 
-def _load_table(args):
-    if args.infile:
-        with open(args.infile) as fh:
-            return hyper.HyperTable.from_json(json.load(fh))
-    if args.n is not None:
-        return hyper.k_algebra(Cyclic(args.n))
-    return _quotient_from_args(args)
-
-
 # ---------------------------------------------------------------------------
 
-def _fiber_group(spec, m, n):
+def _fiber_group(spec, m):
     """(kind, group) for the --S flag; kind 'first' means sharply
     transitive input for the diagonal construction."""
     degree = m + 1
@@ -191,7 +183,7 @@ def cmd_f1(args):
     payload = {"m": args.m}
     if args.chain:
         chain = [int(x) for x in args.chain.split(",")]
-        kind, S = _fiber_group(args.S, args.m, None)
+        kind, S = _fiber_group(args.S, args.m)
         if kind != "first":
             raise DomainError("chains use the diagonal construction; "
                               "the fiber group must be sharply transitive")
@@ -204,7 +196,7 @@ def cmd_f1(args):
         return EXIT_VERIFY
     if args.n is None:
         raise DomainError("need --n or --chain")
-    kind, S = _fiber_group(args.S, args.m, args.n)
+    kind, S = _fiber_group(args.S, args.m)
     if kind == "first":
         A = f1.singer_first(args.m, args.n, S)
     else:
@@ -390,8 +382,15 @@ def _verify_singer_space(obj):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, so they exit 1 with one line."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="singer",
         description="Singer groups of projective planes and spaces: "
                     "classical constructions, greedy difference-set "
@@ -417,16 +416,16 @@ def build_parser():
     hs.add_parser("krasner")
     pk = hs.add_parser("kalg")
     pk.add_argument("--n", type=int, required=True)
-    for name in ("quotient", "roundtrip", "classify"):
+    for name in ("quotient", "roundtrip"):
         pq = hs.add_parser(name)
-        pq.add_argument("--p", type=int, default=None)
+        pq.add_argument("--p", type=int, required=True)
         pq.add_argument("--q-deg", type=int, default=1)
-        pq.add_argument("--ext", type=int, default=None)
+        pq.add_argument("--ext", type=int, required=True)
         pq.add_argument("--generators", default=None,
                         help="unit subgroup generators (element codes)")
-        if name == "classify":
-            pq.add_argument("--n", type=int, default=None)
-            pq.add_argument("--in", dest="infile", default=None)
+    pc = hs.add_parser("classify")
+    pc.add_argument("--in", dest="infile", metavar="FILE", required=True,
+                    help="a hypertable JSON file")
 
     p = sub.add_parser("f1", help="monomial regular groups")
     p.add_argument("--m", type=int, required=True)
@@ -442,8 +441,8 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         if args.verify_only:
             return cmd_verify_only(args.verify_only, args.out)
         if args.cmd == "classical":
@@ -451,11 +450,6 @@ def main(argv=None):
         if args.cmd == "hughes":
             return cmd_hughes(args)
         if args.cmd == "hyper":
-            if args.hyper_cmd in ("quotient", "roundtrip", "classify"):
-                needs_ring = (args.hyper_cmd != "classify"
-                              or (args.infile is None and args.n is None))
-                if needs_ring and (args.p is None or args.ext is None):
-                    raise DomainError("need --p and --ext")
             return cmd_hyper(args)
         if args.cmd == "f1":
             return cmd_f1(args)

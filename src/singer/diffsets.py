@@ -32,6 +32,8 @@ class PartialDifferenceSet:
     def __post_init__(self):
         for a in self.elements:
             self.group.validate(a)
+        if len(set(self.elements)) != len(self.elements):
+            raise DomainError("repeated element in a difference set")
 
     def to_json(self):
         return {
@@ -95,16 +97,15 @@ def verify_partial(S):
         # one difference per ordered pair: the map is injective
         return Certificate(True, "partial-difference-set",
                            {"differences": len(diffs)})
-    pairs = _difference_pairs(S)
-    for d, ps in pairs.items():
+    # the elements are distinct, so fewer differences than ordered pairs
+    # means some difference comes from two pairs
+    for d, ps in _difference_pairs(S).items():
         if len(ps) > 1:
             G = S.group
             return Certificate(False, "partial-difference-set", {
                 "difference": G.canon(d),
                 "pairs": [[G.canon(a), G.canon(b)] for a, b in ps[:2]],
             })
-    return Certificate(True, "partial-difference-set",
-                       {"differences": len(pairs)})
 
 
 def certify(S):

@@ -186,7 +186,7 @@ def plane_from_difference_set(G, S):
     return IncidenceStructure(len(els), lines, meta)
 
 
-def right_translation_action(G, gamma=None):
+def right_translation_action(G):
     """Action of G on its own element indices by right multiplication."""
     els = list(G.elements())
     index = {e: i for i, e in enumerate(els)}

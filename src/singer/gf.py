@@ -22,14 +22,7 @@ SIZE_CAP = 2 ** 20
 
 @lru_cache
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and prime_divisors(n) == [n]
 
 
 def prime_divisors(n):
@@ -65,19 +58,14 @@ def factor_prime_power(q):
         raise DomainError(f"{q} is not a prime power")
     if q > SIZE_CAP:
         raise CapError(f"{q} exceeds the field size cap 2^20")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise DomainError(f"{q} is not a prime power")
-            return p, k
-        p += 1
-    return q, 1
+    ps = prime_divisors(q)
+    if len(ps) != 1:
+        raise DomainError(f"{q} is not a prime power")
+    p, k = ps[0], 0
+    while q > 1:
+        q //= p
+        k += 1
+    return p, k
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +149,7 @@ def least_irreducible(p, n):
 class GF:
     """GF(p^n) with integer-coded elements."""
 
-    def __init__(self, p, n=1, modulus=None):
+    def __init__(self, p, n=1):
         if n < 1:
             raise DomainError("degree must be >= 1")
         if p > 1:
@@ -170,11 +158,7 @@ class GF:
             raise DomainError(f"{p} is not prime")
         self.p, self.n = p, n
         self.q = p ** n
-        self.modulus = least_irreducible(p, n) if modulus is None else poly_trim(modulus)
-        if len(self.modulus) - 1 != n or self.modulus[-1] != 1:
-            raise DomainError("modulus must be monic of the extension degree")
-        if not poly_is_irreducible(self.modulus, p):
-            raise DomainError("modulus is not irreducible")
+        self.modulus = least_irreducible(p, n)
 
     # -- encoding -----------------------------------------------------------
     def to_coeffs(self, a):

@@ -14,11 +14,9 @@ from .errors import DomainError, CapError
 from . import gf
 from .groups import closure, cyclic_generator, subgroup_generators
 from ._backend import assoc_witness, distrib_witness
-from .geometry import IncidenceStructure
+from .geometry import IncidenceStructure, verify_plane
 
 CARRIER_CAP = 256
-# The largest q whose quotients GF(q^m)*/GF(q)* classify_extension tries.
-CLASSIFY_MAX_Q = 16
 
 
 class HyperTable:
@@ -522,38 +520,45 @@ def tables_equal(T1, T2):
 # isomorphism and classification
 
 def tables_isomorphic(T1, T2):
-    """Hypertable isomorphism fixing 0 and 1 (mult-group-first search)."""
+    """Hypertable isomorphism fixing 0 and 1, as a dict, or None.
+
+    An isomorphism restricts to an isomorphism of the unit groups, so it
+    maps a generator g1 of T1's cyclic unit group to a generator of T2's,
+    and that image fixes it.  A cyclic unit group matches no other kind;
+    two tables whose unit groups are both not cyclic raise DomainError."""
     if T1.n != T2.n:
         return None
     n = T1.n
-    # a generator of T1's multiplicative group, if that group is cyclic
     g1 = cyclic_generator(lambda a, b: T1.mul[a][b], T1.one,
                           [x for x in range(n) if x != T1.zero])
-    if g1 is not None:
-        # map a cyclic generator to every candidate generator of T2
-        nonzero2 = [x for x in range(n) if x != T2.zero]
-        k = n - 1
-        powers1 = [T1.one]
-        x = g1
-        while x != T1.one:
-            powers1.append(x)
-            x = T1.mul[x][g1]
-        powers1 = powers1[1:] + [T1.one]  # g, g^2, ..., g^k = 1
-        for g2 in nonzero2:
-            powers2 = []
-            y = g2
-            for _ in range(k):
-                powers2.append(y)
-                y = T2.mul[y][g2]
-            if powers2[-1] != T2.one or len(set(powers2)) != k:
-                continue
-            phi = {T1.zero: T2.zero}
-            for a, b in zip(powers1, powers2):
-                phi[a] = b
-            if _check_table_map(T1, T2, phi):
-                return phi
-        return None
-    return _backtrack_iso(T1, T2)
+    nonzero2 = [x for x in range(n) if x != T2.zero]
+    if g1 is None:
+        if cyclic_generator(lambda a, b: T2.mul[a][b], T2.one,
+                            nonzero2) is not None:
+            return None
+        raise DomainError("neither unit group is cyclic")
+    # map the cyclic generator to every candidate generator of T2
+    k = n - 1
+    powers1 = [T1.one]
+    x = g1
+    while x != T1.one:
+        powers1.append(x)
+        x = T1.mul[x][g1]
+    powers1 = powers1[1:] + [T1.one]  # g, g^2, ..., g^k = 1
+    for g2 in nonzero2:
+        powers2 = []
+        y = g2
+        for _ in range(k):
+            powers2.append(y)
+            y = T2.mul[y][g2]
+        if powers2[-1] != T2.one or len(set(powers2)) != k:
+            continue
+        phi = {T1.zero: T2.zero}
+        for a, b in zip(powers1, powers2):
+            phi[a] = b
+        if _check_table_map(T1, T2, phi):
+            return phi
+    return None
 
 
 def _check_table_map(T1, T2, phi):
@@ -570,45 +575,15 @@ def _check_table_map(T1, T2, phi):
     return True
 
 
-def _backtrack_iso(T1, T2):
-    n = T1.n
-    order = [x for x in range(n) if x not in (T1.zero, T1.one)]
-    phi = {T1.zero: T2.zero, T1.one: T2.one}
-    used = {T2.zero, T2.one}
-
-    def consistent():
-        for x in phi:
-            for y in phi:
-                if T1.mul[x][y] in phi:
-                    if phi[T1.mul[x][y]] != T2.mul[phi[x]][phi[y]]:
-                        return False
-        return True
-
-    def rec(i):
-        if i == len(order):
-            return _check_table_map(T1, T2, phi)
-        x = order[i]
-        for cand in range(n):
-            if cand in used:
-                continue
-            phi[x] = cand
-            used.add(cand)
-            if consistent() and rec(i + 1):
-                return True
-            del phi[x]
-            used.discard(cand)
-        return False
-
-    if rec(0):
-        return dict(phi)
-    return None
-
-
 def classify_extension(T, rep=None):
     """Place a finite hyperfield extension of the two-element hyperfield:
     (i) single-line group algebra, (ii) finite-field unit quotient, or the
     fallback 'plane-other' with the geometry as evidence.  `rep` is T's
-    `check_axioms` report, when the caller already has it."""
+    `check_axioms` report, when the caller already has it.
+
+    GF(q^m)/GF(q)^x is PG(m - 1, q), with q + 1 points per line and
+    (q^m - 1)/(q - 1) points.  An isomorphism maps lines to lines, so q and
+    m are read off T's geometry and only that one quotient is compared."""
     if rep is None:
         rep = check_axioms(T)
     if not rep.passed():
@@ -621,19 +596,11 @@ def classify_extension(T, rep=None):
     gamma = hyperfield_to_geometry(T)
     if gamma.nlines == 1:
         return {"case": "single-line", "group_order": T.n - 1}
-    npts = T.n - 1
-    for q in range(2, CLASSIFY_MAX_Q + 1):
-        try:
-            gf.factor_prime_power(q)
-        except DomainError:
-            continue
-        m = 2
-        while (q ** m - 1) // (q - 1) <= npts:
-            if (q ** m - 1) // (q - 1) == npts:
-                cand = field_quotient_table(q, m)
-                if tables_isomorphic(T, cand) is not None:
-                    return {"case": "field-quotient", "q": q, "m": m}
-            m += 1
-    from .geometry import verify_plane
+    q, m, size = len(gamma.lines[0]) - 1, 1, 1
+    while size < T.n - 1:
+        size, m = size * q + 1, m + 1
+    if (q > 1 and size == T.n - 1 and len(gf.prime_divisors(q)) == 1
+            and tables_isomorphic(T, field_quotient_table(q, m)) is not None):
+        return {"case": "field-quotient", "q": q, "m": m}
     cert = verify_plane(gamma)
     return {"case": "plane-other", "plane": cert.to_json()}

@@ -241,6 +241,26 @@ def test_lemma_cap(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    "classical",                  # --q missing
+    "classical --q x",
+    "classical --q 3 --bogus",
+    "hyper classify",             # --in missing
+    "hyper classify --n 7",
+])
+def test_usage_errors_exit_1(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hyper", "classify", "-h"])
+    assert exc.value.code == 0
+    assert "--in" in capsys.readouterr().out
+
+
 def test_no_subcommand(capsys):
     assert cli.main([]) == 1
     capsys.readouterr()
@@ -429,6 +449,8 @@ def test_malformed_payloads_refused(tmp_path, capsys):
         edited(plane, lambda p: p["lines"][0].__setitem__(0, 0.0)),
         edited(plane, lambda p: p.__setitem__("lines", 5)),
         edited(ds, lambda d: d.__setitem__("elements", 5)),
+        {"group": "cyclic:7", "elements": ["3", "3"]},
+        {"group": "cyclic:13", "elements": ["0", "1", "3", "9", "9"]},
     ]
     path = tmp_path / "bad.json"
     for obj in cases:

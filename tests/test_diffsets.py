@@ -79,6 +79,10 @@ def test_elements_validated_at_entry():
         pds(Cyclic(7), [0, 1, 7])
     with pytest.raises(DomainError):
         pds(Free(2), [(), (0, 1)])  # a * a^-1 is not reduced
+    with pytest.raises(DomainError, match="repeated"):
+        pds(Cyclic(7), [3, 3])
+    with pytest.raises(DomainError, match="repeated"):
+        pds(Cyclic(13), [0, 1, 3, 9, 9])
     state = ds.BuilderState(ds.certify(pds(Cyclic(7), [0])))
     with pytest.raises(DomainError):
         ds.hughes_step(state, 8)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
-from singer.groups import Cyclic
+from singer.groups import Cyclic, Abelian
 from singer import hyper
 from singer._backend import assoc_witness, distrib_witness
 from singer import gf
@@ -252,6 +252,55 @@ def test_classify_extension():
     T = hyper.k_algebra(Cyclic(3))
     with pytest.raises(DomainError, match="not a hyperfield"):
         hyper.classify_extension(T, hyper.check_axioms(T))
+
+
+def _scan_classification(T):
+    """classify_extension by search, for a table that passes the axioms:
+    every quotient GF(q^m)/GF(q)^x with q <= 16 and T's point count is
+    built and compared with T."""
+    if T.n == 2:
+        return {"case": "field-quotient", "q": None, "m": 1,
+                "note": "degenerate: the base hyperfield itself"}
+    gamma = hyper.hyperfield_to_geometry(T)
+    if gamma.nlines == 1:
+        return {"case": "single-line", "group_order": T.n - 1}
+    npts = T.n - 1
+    for q in range(2, 17):
+        try:
+            gf.factor_prime_power(q)
+        except DomainError:
+            continue
+        m = 2
+        while (q ** m - 1) // (q - 1) <= npts:
+            if (q ** m - 1) // (q - 1) == npts:
+                cand = hyper.field_quotient_table(q, m)
+                if hyper.tables_isomorphic(T, cand) is not None:
+                    return {"case": "field-quotient", "q": q, "m": m}
+            m += 1
+    return {"case": "plane-other",
+            "plane": geo.verify_plane(gamma).to_json()}
+
+
+@pytest.mark.parametrize("q, m", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3),
+                                  (7, 3), (8, 3), (9, 3)])
+def test_classification_matches_the_scan(q, m):
+    """q and m read off the geometry give the scan's answer."""
+    T = hyper.field_quotient_table(q, m)
+    assert hyper.classify_extension(T) == _scan_classification(T)
+
+
+def test_classification_matches_the_scan_off_the_quotients():
+    for T in [hyper.k_algebra(Cyclic(n)) for n in (4, 7, 30)] + [
+            hyper.krasner()]:
+        assert hyper.classify_extension(T) == _scan_classification(T)
+
+
+def test_tables_isomorphic_non_cyclic_units():
+    A = hyper.k_algebra(Abelian((2, 2)))
+    assert hyper.tables_isomorphic(A, hyper.k_algebra(Cyclic(4))) is None
+    # no caller compares two tables whose unit groups are not cyclic
+    with pytest.raises(DomainError, match="cyclic"):
+        hyper.tables_isomorphic(A, A)
 
 
 def test_json_roundtrip():
