@@ -96,7 +96,7 @@ def _table_report(T):
 
 def _quotient_from_args(args):
     if args.p < 2:
-        raise DomainError(f"{args.p} is not prime")
+        raise DomainError(f"{args.p} is not a prime power")
     gf.check_field_size(args.p, args.q_deg)
     q = args.p ** args.q_deg
     if args.generators:
@@ -418,7 +418,9 @@ def build_parser():
     pk.add_argument("--n", type=int, required=True)
     for name in ("quotient", "roundtrip"):
         pq = hs.add_parser(name)
-        pq.add_argument("--p", type=int, required=True)
+        pq.add_argument("--p", type=int, required=True,
+                        help="a prime power; the base field is "
+                             "GF(p^q-deg)")
         pq.add_argument("--q-deg", type=int, default=1)
         pq.add_argument("--ext", type=int, required=True)
         pq.add_argument("--generators", default=None,

@@ -153,12 +153,13 @@ def classical_singer(q, m):
     v = (q ** (m + 1) - 1) // (q - 1)
     # GF(q) inside F: {0} plus the order-(q-1) subgroup <g^v> of F^x
     subfield = [0] + [exp[k * v] for k in range(q - 1)]
-    basis = exp[:m]
+    # each multiple c*g^j of a basis vector is formed once
+    multiples = [[F.mul(c, exp[j]) for c in subfield] for j in range(m)]
     S = set()
-    for coeffs in itertools.product(subfield, repeat=m):
+    for terms in itertools.product(*multiples):
         h = 0
-        for c, b in zip(coeffs, basis):
-            h = F.add(h, F.mul(c, b))
+        for t in terms:
+            h = F.add(h, t)
         if h != 0:
             S.add(log[h] % v)
     G = FieldQuotient(p, a, m + 1)

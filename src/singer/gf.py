@@ -11,6 +11,7 @@ rationals only the rational root theorem is used.
 """
 
 import itertools
+import operator
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -282,16 +283,28 @@ def log_tables(F):
     element code; log[0] is -1, since 0 has no logarithm.  These are the
     discrete logs behind every Singer indexing: PG(m, q) puts its points at
     the powers of g in GF(q^{m+1}) modulo GF(q)^x.  The arrays are shared
-    through the cache, so callers only read them."""
+    through the cache, so callers only read them.
+
+    The fill steps x -> x*g without `mul`.  With h = ceil(n/2) and
+    P = p^h, the code x = lo + P*hi is the polynomial lo(X) + X^h hi(X), so
+    x*g = lo*g + (P*hi)*g: two lookups in tables of p^h and p^(n-h)
+    products and one field addition, which is XOR for p = 2
+    (DECISIONS.md, "Log tables stepped by a linear map")."""
     g = F.primitive_element()
+    p, n = F.p, F.n
     N = F.q - 1
     exp = array("i", [0]) * N
     log = array("i", [-1]) * F.q
+    h = (n + 1) // 2
+    P = p ** h
+    lo_g = [F.mul(lo, g) for lo in range(P)]
+    hi_g = [F.mul(P * hi, g) for hi in range(p ** (n - h))]
+    add = operator.xor if p == 2 else F.add
     x = 1
     for i in range(N):
         exp[i] = x
         log[x] = i
-        x = F.mul(x, g)
+        x = add(lo_g[x % P], hi_g[x // P])
     return g, exp, log
 
 

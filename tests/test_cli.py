@@ -142,6 +142,18 @@ def test_hyper_quotient(capsys):
                                       "q": 3, "m": 3}
 
 
+@pytest.mark.parametrize("cmd", ["quotient", "roundtrip"])
+def test_hyper_p_takes_a_prime_power(cmd, capsys):
+    for p in ("1", "6"):
+        code, out, err = run(["hyper", cmd, "--p", p, "--ext", "3"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {p} is not a prime power\n"
+    code, out, _ = run(["hyper", cmd, "--p", "4", "--ext", "3"], capsys)
+    assert code == 0
+    assert out == run(["hyper", cmd, "--p", "2", "--q-deg", "2", "--ext", "3"],
+                      capsys)[1]
+
+
 def test_hyper_roundtrip(capsys):
     obj = payload(["hyper", "roundtrip", "--p", "3", "--ext", "3"], capsys)
     assert obj["roundtrip_exact"] is True

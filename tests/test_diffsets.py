@@ -1,8 +1,11 @@
+import functools
+import time
+
 import pytest
 
 from singer.errors import DomainError, BoundedFailure
 from singer.groups import Cyclic, Abelian, Integers, Free
-from singer import diffsets as ds
+from singer import diffsets as ds, gf
 
 
 def pds(G, els):
@@ -39,6 +42,19 @@ def test_classical_singer_planes(q, k):
     assert len(S.elements) == k
     assert S.certified
     assert ds.verify_perfect(S).ok
+
+
+def test_classical_singer_order_64_is_fast(monkeypatch):
+    # the discrete logs of GF(2^18): 2^18 - 1 steps of x -> x*g.  A cache
+    # of its own makes the fill part of the time and leaves the shared
+    # cache as the other tests find it.  The 2 s bound depends on the host.
+    monkeypatch.setattr(gf, "log_tables",
+                        functools.lru_cache(gf.log_tables.__wrapped__))
+    t0 = time.perf_counter()
+    _, S = ds.classical_singer(64, 2)
+    cert = ds.verify_perfect(S)
+    assert time.perf_counter() - t0 < 2
+    assert cert.ok and cert.detail == {"k": 65, "v": 4161}
 
 
 def test_classical_higher_dim_not_partial():

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 
@@ -62,14 +63,36 @@ def test_primitive_element_is_least_of_full_order():
             n += 1
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2)])
+def stepped_log_tables(F):
+    """The tables by the plain loop x -> F.mul(x, g)."""
+    g = F.primitive_element()
+    exp = array("i", [0]) * (F.q - 1)
+    log = array("i", [-1]) * F.q
+    x = 1
+    for i in range(F.q - 1):
+        exp[i] = x
+        log[x] = i
+        x = F.mul(x, g)
+    return g, exp, log
+
+
+# n = 1; p = 2 at odd and even n; odd p with halves of equal and unequal
+# length
+STEPPED_CASES = {(2, 1), (7, 1), (2, 9), (2, 12), (3, 7), (5, 4), (23, 3)}
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2),
+                                 (7, 1), (2, 9), (2, 12), (3, 7), (5, 4),
+                                 (23, 3)])
 def test_log_tables(p, n):
     F = gf.GF(p, n)
     g, exp, log = gf.log_tables(F)
     assert g == F.primitive_element()
     assert gf.log_tables(gf.GF(p, n)) is gf.log_tables(F)  # cached
     assert log[0] == -1
-    for i in range(F.q - 1):
+    if (p, n) in STEPPED_CASES:
+        assert (g, exp, log) == stepped_log_tables(F)
+    for i in range(min(F.q - 1, 1000)):
         assert exp[i] == F.pow(g, i) and log[exp[i]] == i
     assert sorted(exp) == list(range(1, F.q))
 
