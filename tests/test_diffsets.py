@@ -154,6 +154,20 @@ def test_hughes_log_hash_pinned():
     assert len(st.current.elements) == 49
 
 
+def test_hughes_log_hash_pinned_at_scale():
+    # the greedy choices of `hughes --group free:3 --targets 500` and of the
+    # benchmark's `--group integers --targets 250`, fixed before the
+    # builder's candidate scan changed
+    st = ds.hughes_build(Free(3), 500)
+    assert st.log_hash() == ("e72feea90108dd70065db446c8863ce2"
+                             "4d20874911c073f281a61dcda10d60ff")
+    assert len(st.current.elements) == 259
+    st = ds.hughes_build(Integers(), 250)
+    assert st.log_hash() == ("951d739423baf6ea37ffcc4b3ec6a234"
+                             "31da7829271601148b6ee9d6b6e5bb17")
+    assert len(st.current.elements) == 92
+
+
 def test_replay_chain():
     st = ds.hughes_build(Integers(), 25)
     sizes = ds.replay_chain(st)
