@@ -78,7 +78,8 @@ def cmd_hughes(args):
     sizes = diffsets.replay_chain(state)
     _log(f"built |S|={len(state.current.elements)} over "
          f"{state.targets_consumed} targets; "
-         f"{len(sizes)} prefixes re-certified")
+         f"{len(sizes)} prefixes re-certified; furthest candidate position "
+         f"{state.candidates.drawn - 1} (--bound {args.bound})")
     payload = {"difference_set": state.current.to_json(),
                "log": state.log_json(),
                "log_hash": state.log_hash(),

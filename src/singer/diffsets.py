@@ -14,7 +14,7 @@ asserted along the way.
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, BoundedFailure
 from .groups import parse_group, has_involution, FieldQuotient
@@ -174,20 +174,44 @@ def classical_singer(q, m):
 # ---------------------------------------------------------------------------
 # greedy builder
 
+class Candidates:
+    """The enumeration of a group as far as a chain of builder states has
+    drawn it: `live` maps the position of every drawn candidate that is not
+    yet marked to its element, in position order, and `frontier` is the
+    one iterator of `G.elements()` that continues after them."""
+
+    def __init__(self, elements):
+        self.live = {}
+        self.frontier = elements
+        self.drawn = 0
+
+    def scan(self):
+        """(position, element) for the live candidates, then for new draws,
+        each entered as live.  The caller deletes from `live` only after
+        the scan."""
+        yield from self.live.items()
+        for x in self.frontier:
+            i = self.drawn
+            self.drawn += 1
+            self.live[i] = x
+            yield i, x
+
+
 @dataclass
 class BuilderState:
     """A certified set, the number of targets consumed and the step log.
 
-    `diffs` (the difference set of `current`) and `failed` (one byte per
-    enumeration position, 1 for a candidate that can never be adjoined
-    again) are caches for `current` that `hughes_step` fills in and hands
-    on; a state made without them gets them on its first step.  A state
-    never shares a cache with a state whose set is larger."""
+    `diffs` (the difference set of the chain's latest set) and `candidates`
+    (its live candidates) belong to the chain of states that `hughes_step`
+    hands them along; a state made without them gets fresh ones on its
+    first step.  The set of size k whose differences they hold, k(k - 1) of
+    them, is the chain's latest one, so a state owns them exactly when
+    len(diffs) == k(k - 1) for its own k (`DECISIONS.md`)."""
     current: PartialDifferenceSet
     targets_consumed: int = 0
     log: list = field(default_factory=list)
     diffs: set = field(default=None, repr=False, compare=False)
-    failed: bytearray = field(default=None, repr=False, compare=False)
+    candidates: Candidates = field(default=None, repr=False, compare=False)
 
     def log_json(self):
         return self.log
@@ -237,12 +261,13 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
     candidates x in enumeration order and adjoins {x, d^-1 x} (d^-1 x may
     coincide with an existing element, in which case only x is new).
 
-    A candidate x that collides with S on its own is marked in `failed`
-    and skipped from then on.  With D the differences of S (D = D^-1), it
-    collides when x s^-1 is in D for some s in S, that is x in D S, or when
-    two of the x s^-1, s x^-1 are equal.  Neither depends on the target,
-    and both stay true as S and D grow.  Skipped candidates still count
-    against `search_bound`.
+    A candidate x that collides with S on its own is marked: it leaves the
+    live candidates and is never tested again.  With D the differences of
+    S (D = D^-1), it collides when x is in S, when x s^-1 is in D for some
+    s in S, that is x in D S, or when two of the x s^-1, s x^-1 are equal.
+    None of these depends on the target, and all stay true as S and D
+    grow.  A step visits the live candidates in position order and then
+    draws new ones; marked positions still count against `search_bound`.
     """
     S = state.current
     G = S.group
@@ -251,55 +276,72 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
         raise DomainError("target must be a nonidentity element")
     if not S.certified:
         raise DomainError("builder state must carry a certified set")
-    diffs = state.diffs if state.diffs is not None else differences(S)
+    els = S.elements
+    k = len(els)
+    diffs, cands = state.diffs, state.candidates
+    if diffs is None or len(diffs) != k * (k - 1):
+        # the chain has moved past this state: start one of its own
+        diffs, cands = differences(S), None
     if d in diffs:
         new_log = state.log + [{"target": G.canon(d), "chosen_x": None,
                                 "added": []}]
         return BuilderState(S, state.targets_consumed + 1, new_log, diffs,
-                            state.failed)
+                            cands)
+    if cands is None:
+        cands = Candidates(G.elements())
 
     d_inv = G.inv(d)
-    els = S.elements
     invs = tuple(G.inv(s) for s in els)
     elset = set(els)
-    # this step's own copy: the marks hold for S and every later set
-    failed = bytearray(state.failed or b"")
-    for i, x in enumerate(G.elements()):
-        if i >= search_bound:
-            raise BoundedFailure(
-                f"no candidate for target {G.canon(d)} within {search_bound}")
-        if i < len(failed) and failed[i] or x in elset:
-            continue
-        new = set()
-        if not _new_differences(G, els, invs, diffs, x, new):
-            if i >= len(failed):
-                failed.extend(bytes(i + 1 - len(failed)))
-            failed[i] = 1
-            continue
-        y = G.mul(d_inv, x)
-        if y in elset:
-            new_els = (x,)
-        elif x != y and _new_differences(G, els + (x,), invs + (G.inv(x),),
-                                         diffs, y, new):
-            new_els = (x, y)
+    within = f"no candidate for target {G.canon(d)} within {search_bound}"
+    marked = []
+    try:
+        for i, x in cands.scan():
+            if i >= search_bound:
+                raise BoundedFailure(within)
+            new = set()
+            if x in elset or not _new_differences(G, els, invs, diffs, x,
+                                                  new):
+                marked.append(i)
+                continue
+            y = G.mul(d_inv, x)
+            if y in elset:
+                new_els = (x,)
+            elif x != y and _new_differences(G, els + (x,),
+                                             invs + (G.inv(x),), diffs, y,
+                                             new):
+                new_els = (x, y)
+            else:
+                continue
+            marked.append(i)  # x joins the set
+            break
         else:
-            continue
-        if G.abelian:
-            # the conjugation collision d^x = s_j^-1 s_i cannot fire when
-            # the group is abelian and d is not yet a difference
-            conj = G.mul(G.mul(G.inv(x), d), x)
-            assert conj == d, "abelian shortcut violated"
-        ext = PartialDifferenceSet(G, els + new_els, True)
-        assert d in new, "target must appear among the new differences"
-        new_log = state.log + [{
-            "target": G.canon(d),
-            "chosen_x": G.canon(x),
-            "added": [G.canon(z) for z in new_els],
-        }]
-        return BuilderState(ext, state.targets_consumed + 1, new_log,
-                            diffs | new, failed)
-    raise BoundedFailure(
-        f"enumeration exhausted before bound for target {G.canon(d)}")
+            # all `drawn` positions failed: a walk from the identity would
+            # have reached the bound first iff there are more of them
+            if cands.drawn > search_bound:
+                raise BoundedFailure(within)
+            raise BoundedFailure(
+                f"enumeration exhausted before bound for target "
+                f"{G.canon(d)}")
+    finally:
+        for i in marked:
+            del cands.live[i]
+    x = new_els[0]
+    if G.abelian:
+        # the conjugation collision d^x = s_j^-1 s_i cannot fire when
+        # the group is abelian and d is not yet a difference
+        conj = G.mul(G.mul(G.inv(x), d), x)
+        assert conj == d, "abelian shortcut violated"
+    ext = PartialDifferenceSet(G, els + new_els, True)
+    assert d in new, "target must appear among the new differences"
+    diffs |= new
+    new_log = state.log + [{
+        "target": G.canon(d),
+        "chosen_x": G.canon(x),
+        "added": [G.canon(z) for z in new_els],
+    }]
+    return BuilderState(ext, state.targets_consumed + 1, new_log, diffs,
+                        cands)
 
 
 def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
@@ -329,7 +371,9 @@ def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
             break
     if consumed < num_targets:
         raise BoundedFailure("group exhausted before target count")
-    return state
+    # the certificates build their own differences of the set, so the
+    # chain's k(k - 1) of them are let go before they run
+    return replace(state, diffs=None)
 
 
 def replay_chain(state):

@@ -99,6 +99,23 @@ def test_hughes_deterministic(capsys):
     assert obj["prefixes_certified"] >= 1
 
 
+def test_hughes_reports_the_furthest_candidate(capsys):
+    # stderr names the furthest enumeration position the search reached;
+    # it is the least --bound that builds the set, and stdout stays the
+    # payload whose sha256 the benchmark records for this command
+    argv = ["hughes", "--group", "integers", "--targets", "250"]
+    digest = "7607a6824f742d728989fa6faf0db4437c004ac68ed4fe70ae79989d3f8df703"
+    for bound, reported in ((None, "(--bound 100000)"),
+                            ("42188", "(--bound 42188)")):
+        code, out, err = run(argv + (["--bound", bound] if bound else []),
+                             capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert f"furthest candidate position 42187 {reported}" in err
+    code, out, err = run(argv + ["--bound", "42187"], capsys)
+    assert code == 3 and out == "" and "within 42187" in err
+
+
 def test_hughes_free_group(capsys):
     obj = payload(["hughes", "--group", "free:2", "--targets", "4"], capsys)
     assert obj["difference_set"]["group"] == "free:2"

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import sys
 import time
 
 import pytest
@@ -173,6 +175,7 @@ def test_replay_chain():
     sizes = ds.replay_chain(st)
     assert len(sizes) == len(st.log)
     assert sizes == sorted(sizes)
+    assert sizes[-1] == len(st.current.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +254,94 @@ def test_builder_caches_stay_with_their_state():
         assert again.diffs == ds.differences(again.current)
         for t in targets[i + 1:i + 6]:
             assert ds.hughes_step(st, t).log == naive_step(st, t).log
+
+
+@pytest.mark.parametrize("G,num_targets", [(Cyclic(183), 40),
+                                           (Integers(), 60)])
+@pytest.mark.parametrize("bound", [0, 1, 2, 7, 40, 183, 184])
+def test_bound_and_exhaustion_match_naive(G, num_targets, bound):
+    # which of "within" and "enumeration exhausted" a failed search raises,
+    # and at which target, with marked positions counted against the bound
+    got = outcome(ds.hughes_step, G, num_targets, bound)
+    assert got == outcome(naive_step, G, num_targets, bound)
+
+
+def step_outcome(step, state, d, bound):
+    try:
+        return step(state, d, bound).log
+    except BoundedFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("G,n", [(Cyclic(183), 12), (Integers(), 20),
+                                 (Free(2), 20)])
+def test_head_state_under_smaller_bounds(G, n):
+    # failed searches leave the head its chain.  A search stopped at its
+    # bound keeps the candidate it drew there, and a later search with a
+    # smaller bound meets live candidates past that bound.
+    head = build(ds.hughes_step, G, n)[-1]
+    position = {x: i for i, x in enumerate(itertools.islice(G.elements(),
+                                                            200))}
+    choices = sorted(
+        (position[G.parse(naive_step(head, d).log[-1]["chosen_x"])], d)
+        for d in G.enumerate(n + 12)[n + 1:] if d not in head.diffs)
+    (p2, d2), (p1, d1) = choices[0], choices[-1]
+    assert head.candidates.drawn <= p2 < p1
+    for d, bound in ((d2, p2), (d1, p1), (d2, p2), (d2, p2 + 1)):
+        assert (step_outcome(ds.hughes_step, head, d, bound)
+                == step_outcome(naive_step, head, d, bound))
+
+
+def test_no_op_sibling_after_the_chain_moved_on():
+    G = Integers()
+    targets = G.enumerate(60)[1:]
+    states = build(ds.hughes_step, G, 40)
+    siblings = [i for i in range(1, 40)
+                if states[i + 1].current is states[i].current]
+    assert siblings
+    for i in siblings:
+        for st in (states[i + 1], states[i]):
+            for t in targets[i + 1:i + 6]:
+                assert ds.hughes_step(st, t).log == naive_step(st, t).log
+    # two siblings at the head of the chain: the first to extend the set
+    # takes the chain's D, and the other one starts a chain of its own
+    head = states[-1]
+    sibling = ds.hughes_step(head, targets[0])
+    assert sibling.current is head.current and sibling.diffs is head.diffs
+    d = next(t for t in targets[40:] if t not in head.diffs)
+    moved = ds.hughes_step(head, d)
+    assert moved.diffs is head.diffs
+    assert moved.log == naive_step(head, d).log
+    for t in targets[40:]:
+        assert ds.hughes_step(sibling, t).log == naive_step(sibling, t).log
+
+
+def test_builder_draws_each_position_once(monkeypatch):
+    # the scan draws each enumeration position once over the whole build,
+    # and no further than the furthest candidate it adjoins
+    plain = Integers.elements
+    callers, draws = [], []
+
+    def elements(self):
+        call = len(callers)
+        callers.append(sys._getframe(1).f_code.co_name)
+
+        def counted():
+            for i, x in enumerate(plain(self)):
+                draws.append((call, i))
+                yield x
+        return counted()
+
+    monkeypatch.setattr(Integers, "elements", elements)
+    G = Integers()
+    st = ds.hughes_build(G, 250)
+    steps = {c for c, name in enumerate(callers) if name == "hughes_step"}
+    assert len(steps) == 1
+    positions = [i for c, i in draws if c in steps]
+    assert len(positions) == len(set(positions)) == st.candidates.drawn
+    chosen = {int(e["chosen_x"]) for e in st.log if e["chosen_x"]}
+    furthest = max(2 * abs(x) - (x > 0) for x in chosen)  # 0, 1, -1, 2, ...
+    assert st.candidates.drawn == furthest + 1 == 42188
 
 
 def prefixes_partial(state):
