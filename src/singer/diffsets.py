@@ -190,6 +190,7 @@ class Candidates:
         each entered as live.  The caller deletes from `live` only after
         the scan."""
         yield from self.live.items()
+        # not `yield from`: closing a scan must leave the frontier open
         for x in self.frontier:
             i = self.drawn
             self.drawn += 1
