@@ -4,8 +4,10 @@ and the correspondence with projective point-line geometries.
 
 Hyperaddition tables are stored as bitmask-valued matrices.  The axioms
 are proved from generators of the units; the cubic scans of the kernel
-backend run only when that proof does not apply or finds a failure.
-Carriers are capped at 256."""
+backend run only when that proof does not apply or finds a failure.  The
+checks of that proof, reversibility and the table maps of the isomorphism
+test run on packed rows, one integer per row of the table, without
+unpacking any sum point by point.  Carriers are capped at 256."""
 
 from dataclasses import dataclass, field
 from math import gcd
@@ -76,7 +78,9 @@ class HyperTable:
                         and all(_is_index(k, n) for k in cell)):
                     raise DomainError(f"hypersum {cell!r} is not a list of "
                                       f"carrier indices")
-                masks.append(sum(1 << k for k in set(cell)))
+                if len(set(cell)) != len(cell):
+                    raise DomainError(f"repeated point in hypersum {cell!r}")
+                masks.append(sum(1 << k for k in cell))
             hyperadd.append(masks)
         return HyperTable(obj["carrier"], obj["zero"], obj["one"],
                           obj["mul"], hyperadd)
@@ -131,9 +135,10 @@ def check_axioms(T):
     units, the three cubic ones (the monoid law, distributivity and the
     associativity of hyperaddition) are proved from those generators in
     O(n^2 |gens|) steps; `DECISIONS.md`, "Hyperfield axioms from
-    generators", has the argument.  If a precondition fails, or a reduced
-    check finds a failure, the exhaustive scan runs and reports its
-    witness."""
+    generators", has the argument.  Those checks and reversibility compare
+    packed rows of the table (`_Packed`).  If a precondition fails, or a
+    reduced or packed check finds a failure, the exhaustive scan runs and
+    reports its witness."""
     n, z, o = T.n, T.zero, T.one
     add, mul = T.hyperadd, T.mul
     res, wit = {}, {}
@@ -151,11 +156,12 @@ def check_axioms(T):
     negs = [[y for y in range(n) if add[x][y] >> z & 1] for x in range(n)]
     record("unique-negative", next(
         ((x, tuple(ns)) for x, ns in enumerate(negs) if len(ns) != 1), None))
-    # reversibility: x in y + w  =>  w in x + (-y)
-    record("reversibility", next(
-        ((x, y, w) for y in range(n) if negs[y] for w in range(n)
-         for x in _bits(add[y][w]) if not add[x][negs[y][0]] >> w & 1),
-        None))
+    packed = _Packed(add)
+    # reversibility: x in y + w  =>  w in x + (-y); a failure is scanned
+    # for its first witness
+    record("reversibility", None if packed.reversible(negs) else next(
+        (x, y, w) for y in range(n) if negs[y] for w in range(n)
+        for x in _bits(add[y][w]) if not add[x][negs[y][0]] >> w & 1))
     res["zero-one-distinct"] = z != o
     nonzero = [x for x in range(n) if x != z]
     record("multiplicative-group", next(
@@ -181,7 +187,7 @@ def check_axioms(T):
     # distributivity is closed under associative products
     if (gens is not None and absorbing is None and res["neutral-zero"]
             and res["monoid-multiplication"]
-            and _distributes(add, mul, gens)):
+            and all(packed.carries(add, mul[u]) for u in gens)):
         res["distributivity"] = True
     else:
         w = distrib_witness(n, add, mul)
@@ -191,7 +197,7 @@ def check_axioms(T):
 
     # a unit x scales the bracketings of (1, y/x, w/x) onto (x, y, w)
     if (gens is not None and res["distributivity"]
-            and _associates(add, (z, o))):
+            and packed.associates(z) and packed.associates(o)):
         res["associativity"] = True
     else:
         record("associativity", assoc_witness(n, add))
@@ -218,38 +224,82 @@ def _monoid_witness(mul):
     return None
 
 
-def _distributes(add, mul, us):
-    """Whether u(v + w) = uv + uw for every u in us and all v, w."""
-    n = len(add)
-    for u in us:
-        mu = mul[u]
-        for v in range(n):
-            row = add[mu[v]]
-            for w in range(n):
-                image = 0
-                for s in _bits(add[v][w]):
-                    image |= 1 << mu[s]
-                if image != row[mu[w]]:
-                    return False
-    return True
+class _Packed:
+    """A hyperaddition table with each row packed into one integer: block
+    w of row s, bits [w·B, w·B + n), holds s + w, with B = n + 1 rounded
+    up to whole bytes.  Sums are below 2^n, so no OR, no product of a
+    one-bit-per-block integer by a sum and no addition of two sums carries
+    into the next block (`DECISIONS.md`, "Hyperfield axioms in packed
+    rows")."""
 
+    def __init__(self, add):
+        n = self.n = len(add)
+        self.add = add
+        self.width = -(-(n + 1) // 8) * 8
+        self.full = (1 << n) - 1
+        self.spread = self.pack([1] * n)              # bit 0 of each block
+        self.low = self.full * self.spread            # bits 0..n-1
+        self.copies = sum(1 << c * (self.width - 1) for c in range(n))
+        self.rows = [self.pack(r) for r in add]
 
-def _associates(add, xs):
-    """Whether (x + y) + w = x + (y + w) for every x in xs and all y, w."""
-    n = len(add)
-    for x in xs:
-        rx = add[x]
-        for y in range(n):
-            rows = [add[s] for s in _bits(rx[y])]
-            for w in range(n):
-                left = right = 0
-                for r in rows:
-                    left |= r[w]
-                for s in _bits(add[y][w]):
-                    right |= rx[s]
-                if left != right:
-                    return False
-    return True
+    def pack(self, values):
+        """Σ values[w] << (w·B), for n values below 2^n."""
+        size = self.width // 8
+        return int.from_bytes(
+            b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+    def transpose(self, values):
+        """The packed row whose block c is {x : c in values[x]}: a copy of
+        values[x] at every offset c·(B - 1) >= c·n has its bit c at c·B."""
+        out = 0
+        for x, v in enumerate(values):
+            out |= (v * self.copies & self.spread) << x
+        return out
+
+    def images(self, f):
+        """Each row with every block S replaced by the union of f[s] over s
+        in S.  Bit c of the image of S is set iff S meets
+        G_c = {s : c in f[s]}, that is iff (S & G_c) + 2^n - 1 has bit n."""
+        n, B, spread, low = self.n, self.width, self.spread, self.low
+        reach = self.transpose(f)
+        masks = [(reach >> c * B & self.full) * spread for c in range(n)]
+        high = spread << n
+        for row in self.rows:
+            out = 0
+            for c, g in enumerate(masks):
+                out |= ((row & g) + low & high) >> (n - c)
+            yield out
+
+    def reversible(self, negs):
+        """Whether x in y + w implies w in x + (-y), for every y with a
+        negative: row y against the transpose of column -y."""
+        return not any(
+            self.rows[y] & ~self.transpose([r[ns[0]] for r in self.add])
+            for y, ns in enumerate(negs) if ns)
+
+    def associates(self, x):
+        """Whether (x + y) + w = x + (y + w) for all y, w: the OR of the
+        rows of the points of x + y against row y mapped through row x.
+        An identity row x passes, since both sides are y + w."""
+        rx = self.add[x]
+        if rx == [1 << w for w in range(self.n)]:
+            return True
+        for m, right in zip(rx, self.images(rx)):
+            left = 0
+            for s, r in enumerate(self.rows):
+                if m >> s & 1:
+                    left |= r
+            if left != right:
+                return False
+        return True
+
+    def carries(self, add2, phi):
+        """Whether phi(s + w) = phi(s) + phi(w) in add2 for all s, w, with
+        phi a list of carrier indices: each row mapped through phi against
+        row phi[s] of add2 read in the order phi[w]."""
+        images = self.images([1 << p for p in phi])
+        return all(image == self.pack([add2[t][p] for p in phi])
+                   for t, image in zip(phi, images))
 
 
 def _bits(mask):
@@ -512,8 +562,10 @@ def tables_equal(T1, T2):
     (T2's carrier may be a reordering placing zero first)."""
     old = [T1.zero] + [x for x in range(T1.n) if x != T1.zero]
     # old[i] in T1 corresponds to index i in T2
-    return T1.n == T2.n and _check_table_map(
-        T1, T2, {x: i for i, x in enumerate(old)})
+    phi = [0] * T1.n
+    for i, x in enumerate(old):
+        phi[x] = i
+    return T1.n == T2.n and _maps_onto(_Packed(T1.hyperadd), T1, T2, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +590,7 @@ def tables_isomorphic(T1, T2):
             return None
         raise DomainError("neither unit group is cyclic")
     # map the cyclic generator to every candidate generator of T2
+    packed = _Packed(T1.hyperadd)
     k = n - 1
     powers1 = [T1.one]
     x = g1
@@ -556,23 +609,17 @@ def tables_isomorphic(T1, T2):
         phi = {T1.zero: T2.zero}
         for a, b in zip(powers1, powers2):
             phi[a] = b
-        if _check_table_map(T1, T2, phi):
+        if _maps_onto(packed, T1, T2, [phi[x] for x in range(n)]):
             return phi
     return None
 
 
-def _check_table_map(T1, T2, phi):
-    n = T1.n
-    for x in range(n):
-        for y in range(n):
-            if phi[T1.mul[x][y]] != T2.mul[phi[x]][phi[y]]:
-                return False
-            img = 0
-            for w in _bits(T1.hyperadd[x][y]):
-                img |= 1 << phi[w]
-            if img != T2.hyperadd[phi[x]][phi[y]]:
-                return False
-    return True
+def _maps_onto(packed, T1, T2, phi):
+    """Whether the carrier map phi (a list) carries T1's product and
+    hyperaddition onto T2's; `packed` is T1's hyperaddition."""
+    return all([phi[m] for m in row] == [T2.mul[phi[x]][p] for p in phi]
+               for x, row in enumerate(T1.mul)) and packed.carries(
+                   T2.hyperadd, phi)
 
 
 def classify_extension(T, rep=None):

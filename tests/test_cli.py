@@ -491,3 +491,15 @@ def test_malformed_payloads_refused(tmp_path, capsys):
     path.write_text(json.dumps(cases[0]))
     code, out, err = run(["hyper", "classify", "--in", str(path)], capsys)
     assert code == 1 and err.startswith("error:")
+
+
+def test_repeated_point_in_a_hypersum_refused(tmp_path, capsys):
+    """1 + 1 written [0, 1, 1] in a `krasner` payload is refused at entry,
+    not folded into {0, 1} and re-checked as a passing hyperfield."""
+    obj = payload(["hyper", "krasner"], capsys)
+    obj["table"]["hyperadd"][1][1] = [0, 1, 1]
+    path = tmp_path / "krasner.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["--verify-only", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: repeated point in hypersum [0, 1, 1]\n"

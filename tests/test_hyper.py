@@ -1,4 +1,8 @@
+import random
+import time
+from functools import reduce
 from math import gcd
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +51,7 @@ def test_hypertable_validation():
                        ("mul", [[0, 0], [0, True]]), ("zero", "0"),
                        ("hyperadd", [[[0], [1]], [[1], ["0"]]]),
                        ("hyperadd", [[[0], [1]], [[1], 1]]),
+                       ("hyperadd", [[[0], [1]], [[1], [0, 1, 1]]]),
                        ("carrier", "01")):
         with pytest.raises(DomainError):
             hyper.HyperTable.from_json(dict(good, **{key: value}))
@@ -472,3 +477,182 @@ def test_passing_tables_skip_the_cubic_scans(monkeypatch):
         monkeypatch.setattr(hyper, name, cubic)
     for T in (hyper.field_quotient_table(8, 3), hyper.k_algebra(Cyclic(30))):
         assert hyper.check_axioms(T).passed()
+
+
+@pytest.fixture
+def compiled_scans(compiled, monkeypatch):
+    """The cubic scans of check_axioms and of the exhaustive reference,
+    compiled: in pure Python each takes seconds at n = 64.  The parity
+    tests of test_kernels.py hold the two backends to the same witnesses."""
+    for name in ("assoc_witness", "distrib_witness"):
+        monkeypatch.setattr(hyper, name, getattr(compiled, name))
+        monkeypatch.setitem(globals(), name, getattr(compiled, name))
+
+
+# carriers of 63, 64 and 65 points, where the packed blocks cross a 64-bit
+# word, and the quotients GF(q^3)/GF(q)^x with 14, 22 and 74 points
+_WORD_BOUNDARY = [("kalg", 62), ("kalg", 63), ("kalg", 64),
+                  ("quotient", 3), ("quotient", 4), ("quotient", 8)]
+
+
+def _boundary_table(kind, size):
+    if kind == "kalg":
+        return hyper.k_algebra(Cyclic(size))
+    return hyper.field_quotient_table(size, 3)
+
+
+def _no_cubic_scan(*args):
+    raise AssertionError("cubic scan on a passing table")
+
+
+def _copy(T):
+    return hyper.HyperTable(T.labels, T.zero, T.one, T.mul, T.hyperadd)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 65, 130])
+def test_packed_rows_match_their_definitions(n):
+    """transpose and images of hyper._Packed against the set definitions,
+    on random tables whose sums include the empty and the full set, and
+    associates reading the last row."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    add = [[rng.choice((0, full, rng.getrandbits(n))) for _ in range(n)]
+           for _ in range(n)]
+    f = [rng.choice((0, full, rng.getrandbits(n))) for _ in range(n)]
+    packed = hyper._Packed(add)
+
+    def blocks(row):
+        assert row & ~packed.low == 0      # nothing outside the blocks
+        return [row >> w * packed.width & full for w in range(n)]
+
+    assert blocks(packed.transpose(f)) == [
+        sum(1 << x for x in range(n) if f[x] >> c & 1) for c in range(n)]
+    for r, image in zip(add, packed.images(f)):
+        assert blocks(image) == [
+            reduce(or_, (f[s] for s in range(n) if m >> s & 1), 0)
+            for m in r]
+    if n >= 3:
+        # rows 0 and 1 are all {0}, so (1 + y) + w = {0} for every y and
+        # w; an empty sum in the last row is the one failure
+        add = [[1] * n, [1] * n] + [[full] * n for _ in range(n - 2)]
+        assert hyper._Packed(add).associates(1)
+        add[-1][-1] = 0
+        assert not hyper._Packed(add).associates(1)
+
+
+@pytest.mark.parametrize("kind, size", _WORD_BOUNDARY)
+def test_packed_axioms_match_exhaustive_at_word_boundaries(
+        kind, size, compiled_scans):
+    """The whole report, witnesses included, on the table and on copies
+    with one point removed from the sum of the last two points (on both
+    sides, then on one side) and with one product changed.  The table
+    passes without the cubic scans, so no packed check fails wrongly.  The
+    one-sided change leaves reversibility failing for y = n - 1 alone."""
+    T = _boundary_table(kind, size)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("assoc_witness", "distrib_witness", "_monoid_witness"):
+            mp.setattr(hyper, name, _no_cubic_scan)
+        assert hyper.check_axioms(T).passed()
+    assert _assert_same_report(T).passed()
+    x, y = T.n - 2, T.n - 1
+    smaller = T.hyperadd[x][y] & T.hyperadd[x][y] - 1
+    both, one, product = _copy(T), _copy(T), _copy(T)
+    both.hyperadd[x][y] = both.hyperadd[y][x] = smaller
+    one.hyperadd[x][y] = smaller
+    product.mul[x][y] = T.mul[x][y] % (T.n - 1) + 1
+    for tampered in (both, one, product):
+        assert not _assert_same_report(tampered).passed()
+
+
+@pytest.mark.parametrize("kind, size", _WORD_BOUNDARY)
+def test_reversibility_witness_at_word_boundaries(kind, size,
+                                                  compiled_scans):
+    """x + y = {x, y} for distinct nonzero x, y keeps x + x = {0, x}.  The
+    first failure of reversibility is (1, 1, g): 1 lies in 1 + g, but g
+    is not in 1 + (-1) = {0, 1}.  With a commutative product the other
+    axioms imply reversibility (DECISIONS.md), so associativity fails too."""
+    T = _boundary_table(kind, size)
+    g = 2
+    for x in range(1, T.n):
+        for y in range(1, T.n):
+            if x != y:
+                T.hyperadd[x][y] = 1 << x | 1 << y
+    rep = _assert_same_report(T)
+    assert [a for a in rep.AXIOMS if not rep.results[a]] == [
+        "associativity", "reversibility"]
+    assert rep.witnesses["reversibility"] == (T.one, T.one, g)
+
+
+def _table_map_reference(T1, T2, phi):
+    """Whether phi carries T1 onto T2, point by point: every product, and
+    the image of every point of every sum."""
+    n = T1.n
+    return all(
+        phi[T1.mul[x][y]] == T2.mul[phi[x]][phi[y]]
+        and sum({1 << phi[w] for w in T1.add_set(x, y)})
+        == T2.hyperadd[phi[x]][phi[y]]
+        for x in range(n) for y in range(n))
+
+
+def _relabeled(T, pi):
+    """T with carrier point x renamed pi[x]."""
+    n = T.n
+    mul = [[0] * n for _ in range(n)]
+    add = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            mul[pi[x]][pi[y]] = pi[T.mul[x][y]]
+            add[pi[x]][pi[y]] = sum(1 << pi[w] for w in T.add_set(x, y))
+    return hyper.HyperTable(T.labels, pi[T.zero], pi[T.one], mul, add)
+
+
+def test_table_maps_match_the_per_point_check(monkeypatch):
+    """Every map that tables_equal and tables_isomorphic test gets the
+    answer of the per-point check: the roundtrip table, a quotient and a
+    relabeled copy, the copy with one cell changed, and a relabeling that
+    fixes 0 and 1 but is no isomorphism."""
+    answers = []
+    packed_check = hyper._maps_onto
+
+    def checked(packed, T1, T2, phi):
+        answers.append(packed_check(packed, T1, T2, phi))
+        assert answers[-1] == _table_map_reference(T1, T2, phi)
+        return answers[-1]
+
+    monkeypatch.setattr(hyper, "_maps_onto", checked)
+    T = hyper.field_quotient_table(3, 3)
+    back = hyper.roundtrip_table(T)
+    assert hyper.tables_equal(T, back)
+    back.hyperadd[2][3] &= back.hyperadd[2][3] - 1
+    assert not hyper.tables_equal(T, back)
+
+    Q = hyper.field_quotient_table(4, 3)
+    pi = [0, 1] + list(range(Q.n - 1, 1, -1))
+    copy = _relabeled(Q, pi)
+    phi = hyper.tables_isomorphic(Q, copy)
+    assert phi is not None
+    assert _table_map_reference(Q, copy, [phi[x] for x in range(Q.n)])
+    packed = hyper._Packed(Q.hyperadd)
+    assert hyper._maps_onto(packed, Q, copy, pi)
+    swapped = pi[:2] + [pi[3], pi[2]] + pi[4:]
+    assert not hyper._maps_onto(packed, Q, copy, swapped)
+    # one changed cell, in the row of T2 that the last row of T1 maps to
+    x, y = pi[-1], pi[-2]
+    for cell in ("sum", "product"):
+        changed = _relabeled(Q, pi)
+        if cell == "sum":
+            changed.hyperadd[x][y] &= changed.hyperadd[x][y] - 1
+        else:
+            changed.mul[x][y] = changed.mul[x][y] % (Q.n - 1) + 1
+        assert not hyper._maps_onto(packed, Q, changed, pi)
+        assert hyper.tables_isomorphic(Q, changed) is None
+    assert True in answers and False in answers
+
+
+def test_check_axioms_time_gate():
+    """n = 128: 0.14-0.17 s with packed rows and 2.6-3.3 s before them,
+    on 2 vCPUs."""
+    T = hyper.k_algebra(Cyclic(127))
+    start = time.perf_counter()
+    assert hyper.check_axioms(T).passed()
+    assert time.perf_counter() - start < 2.0
