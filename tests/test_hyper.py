@@ -606,6 +606,16 @@ def _relabeled(T, pi):
     return hyper.HyperTable(T.labels, pi[T.zero], pi[T.one], mul, add)
 
 
+def test_packed_axioms_match_exhaustive_on_relabeled_carriers():
+    """No check assumes where zero and one sit: the criterion-5 tables and
+    the small Z/m quotients with their carriers shuffled."""
+    rng = random.Random(0)
+    for T in _SMALL + list(_criterion_5_tables()):
+        pi = list(range(T.n))
+        rng.shuffle(pi)
+        _assert_same_report(_relabeled(T, pi))
+
+
 def test_table_maps_match_the_per_point_check(monkeypatch):
     """Every map that tables_equal and tables_isomorphic test gets the
     answer of the per-point check: the roundtrip table, a quotient and a
