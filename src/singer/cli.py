@@ -11,9 +11,9 @@ import json
 import sys
 from math import gcd
 
-from .errors import DomainError, CapError, BoundedFailure
+from .errors import DomainError, CapError, BoundedFailure, Certificate
 from . import gf
-from .groups import parse_group, Cyclic
+from .groups import parse_group, Cyclic, FieldQuotient
 from . import diffsets
 from . import geometry
 from . import hyper
@@ -40,12 +40,13 @@ def _emit(payload, out=None):
 
 # ---------------------------------------------------------------------------
 
-def cmd_classical(args):
-    geometry.pg_size(args.q, args.m)
-    G, pds = diffsets.classical_singer(args.q, args.m)
+def _classical(q, m):
+    """(payload, ok) of `classical --q q --m m`."""
+    geometry.pg_size(q, m)
+    G, pds = diffsets.classical_singer(q, m)
     _log(f"hyperplane set: v={G.order} k={len(pds.elements)}")
     payload = {"difference_set": pds.to_json()}
-    if args.m == 2:
+    if m == 2:
         cert = diffsets.verify_perfect(pds)
         payload["perfect"] = cert.ok
         payload["detail"] = cert.detail
@@ -57,15 +58,20 @@ def cmd_classical(args):
     else:
         # higher dimensions: the exponent indexing realizes the cyclic
         # shift as a line-preserving regular action on PG(m, q)
-        gamma = geometry.pg_singer_structure(args.q, args.m)
+        gamma = geometry.pg_singer_structure(q, m)
         payload["space"] = gamma.to_json()
         plane_ok = True
     act = geometry.right_translation_action(G)
     acert = geometry.verify_singer_action(gamma, G, act)
     payload["action_regular"] = acert.ok
     payload["action_detail"] = acert.detail
+    return payload, plane_ok and acert.ok
+
+
+def cmd_classical(args):
+    payload, ok = _classical(args.q, args.m)
     _emit(payload, args.out)
-    if plane_ok and acert.ok:
+    if ok:
         _log("all certificates passed")
         return EXIT_OK
     _log("verification failure")
@@ -96,16 +102,12 @@ def _table_report(T):
 
 
 def _quotient_from_args(args):
-    if args.p < 2:
-        raise DomainError(f"{args.p} is not a prime power")
-    gf.check_field_size(args.p, args.q_deg)
-    q = args.p ** args.q_deg
     if args.generators:
-        p_, a = gf.factor_prime_power(q)
-        F = gf.GF(p_, a * args.ext)
+        p, a = gf.factor_prime_power(args.p)
+        F = gf.GF(p, a * args.ext)
         gens = tuple(int(x) for x in args.generators.split(","))
         return hyper.quotient_hyperring(hyper.QuotientSpec(F, gens))
-    return hyper.field_quotient_table(q, args.ext)
+    return hyper.field_quotient_table(args.p, args.ext)
 
 
 def cmd_hyper(args):
@@ -247,13 +249,18 @@ def _lemma_table(p, top):
     return table, failures
 
 
+def _lemma(p, top):
+    """(payload, ok) of `lemma --p p --max top`."""
+    table, failures = _lemma_table(p, top)
+    return {"p": p, "max": top, "table": table,
+            "failures": failures}, not failures
+
+
 def cmd_lemma(args):
-    table, failures = _lemma_table(args.p, args.max)
-    payload = {"p": args.p, "max": args.max, "table": table,
-               "failures": failures}
+    payload, ok = _lemma(args.p, args.max)
     _emit(payload, args.out)
-    if failures:
-        _log(f"{len(failures)} asserted cases failed")
+    if not ok:
+        _log(f"{len(payload['failures'])} asserted cases failed")
         return EXIT_VERIFY
     _log("all asserted divisibility cases hold")
     return EXIT_OK
@@ -273,7 +280,8 @@ def cmd_verify_only_obj(obj):
     """(report, ok) for one payload object.  Payloads that wrap a
     difference set under `difference_set`, or a hypertable under `table`,
     are unwrapped by calling this again; a `hughes` payload's log is
-    replayed and its hash recomputed."""
+    replayed and its hash recomputed.  `classical` and `lemma` payloads
+    are rebuilt from their inputs and compared key by key."""
     if not isinstance(obj, dict):
         raise DomainError("unrecognized payload shape")
     if "carrier" in obj:
@@ -289,96 +297,48 @@ def cmd_verify_only_obj(obj):
         gamma = geometry.IncidenceStructure.from_json(obj)
         cert = geometry.verify_plane(gamma)
         return {"kind": "plane", "certificate": cert.to_json()}, cert.ok
-    if "space" in obj and "difference_set" in obj:
-        return _verify_singer_space(obj)
-    if "plane" in obj and "difference_set" in obj:
-        return _verify_singer_plane(obj)
+    if "difference_set" in obj and ("plane" in obj or "space" in obj):
+        S = diffsets.PartialDifferenceSet.from_json(obj["difference_set"])
+        G = S.group
+        if not isinstance(G, FieldQuotient):
+            raise DomainError("a classical payload needs a fieldquot group")
+        kind = "singer-space" if "space" in obj else "singer-plane"
+        return _rebuilt(kind, obj, *_classical(G.q, G.m - 1))
     if "difference_set" in obj:
         report, ok = cmd_verify_only_obj(obj["difference_set"])
         if "log" in obj or "log_hash" in obj:
             state = diffsets.BuilderState.from_json(obj)
             cert = diffsets.verify_log(state, obj.get("log_hash"))
             if cert.ok and obj.get("prefixes_certified") != len(state.log):
-                cert = diffsets.Certificate(False, cert.kind, {
+                cert = Certificate(False, {
                     "prefixes_certified": obj.get("prefixes_certified")})
             report["log"] = {"ok": cert.ok, "detail": cert.detail}
             ok = ok and cert.ok
         return report, ok
     if isinstance(obj.get("table"), dict):
-        return cmd_verify_only_obj(obj["table"])
+        # a whole `hyper` payload: its axioms and classification
+        T = hyper.HyperTable.from_json(obj["table"])
+        rep = hyper.check_axioms(T)
+        rebuilt = {"axioms": rep.to_json()}
+        if "classification" in obj and rep.passed():
+            rebuilt["classification"] = hyper.classify_extension(T, rep)
+        recorded = {k: obj[k] for k in ("axioms", "classification")
+                    if k in obj}
+        return _rebuilt("hypertable", recorded, rebuilt, rep.passed())
     if isinstance(obj.get("table"), list) and "failures" in obj:
-        return _verify_lemma(obj)
+        p, top = obj.get("p"), obj.get("max")
+        if type(p) is not int or type(top) is not int:
+            raise DomainError("a lemma payload needs integers p and max")
+        return _rebuilt("lemma", obj, *_lemma(p, top))
     raise DomainError("unrecognized payload shape")
 
 
-def _verify_lemma(obj):
-    """A `lemma` payload: its table and failures must equal the ones
-    recomputed from its `p` and `max`."""
-    p, top = obj.get("p"), obj.get("max")
-    if type(p) is not int or type(top) is not int:
-        raise DomainError("a lemma payload needs integers p and max")
-    table, failures = _lemma_table(p, top)
-    report = {"kind": "lemma", "table_matches": obj["table"] == table,
-              "failures_match": obj["failures"] == failures}
-    return report, report["table_matches"] and report["failures_match"]
-
-
-def _verify_singer_plane(obj):
-    """A `classical --m 2` payload.  Its set must be a perfect difference
-    set, its plane must be the development of the set, and the plane and
-    the group's action on it must pass their certificates.  Every recorded
-    certificate must equal the recomputed one."""
-    S = diffsets.PartialDifferenceSet.from_json(obj["difference_set"])
-    gamma = geometry.IncidenceStructure.from_json(obj["plane"])
-    G = S.group
-    # the point cap bounds the plane, so compare orders before any
-    # group-sized work
-    if G.order != gamma.npoints:
-        return {"kind": "singer-plane", "plane_matches": False}, False
-    cert = diffsets.verify_perfect(S)
-    report = {"kind": "singer-plane", "perfect": cert.ok,
-              "plane_matches": cert.ok and obj["plane"] == (
-                  geometry.plane_from_difference_set(
-                      G, diffsets.certify(S)).to_json())}
-    if not report["plane_matches"]:
-        return report, False
-    pcert = geometry.verify_plane(gamma)
-    acert = geometry.verify_singer_action(
-        gamma, G, geometry.right_translation_action(G))
-    report["plane_certificate"] = pcert.to_json()
-    report["action"] = {"ok": acert.ok, "detail": acert.detail}
-    report["recorded_matches"] = (
-        obj.get("perfect") == cert.ok and obj.get("detail") == cert.detail
-        and obj.get("plane_certificate") == report["plane_certificate"]
-        and obj.get("action_regular") == acert.ok
-        and obj.get("action_detail") == acert.detail)
-    return report, pcert.ok and acert.ok and report["recorded_matches"]
-
-
-def _verify_singer_space(obj):
-    """A `classical --m >= 3` payload.  Its hyperplane set is not a
-    lambda = 1 set, so instead the set and the space must equal the ones
-    rebuilt from the space's (q, m), and the cyclic group must still act
-    regularly on the payload's space, preserving its lines."""
-    gamma = geometry.IncidenceStructure.from_json(obj["space"])
-    q, m = gamma.meta.get("q"), gamma.meta.get("m")
-    if type(q) is not int or type(m) is not int:
-        raise DomainError("space meta needs integers q and m")
-    geometry.pg_size(q, m)
-    G, pds = diffsets.classical_singer(q, m)
-    report = {
-        "kind": "singer-space",
-        "difference_set_matches": obj["difference_set"] == pds.to_json(),
-        "space_matches": (
-            obj["space"] == geometry.pg_singer_structure(q, m).to_json()),
-    }
-    ok = report["difference_set_matches"] and report["space_matches"]
-    if ok:
-        acert = geometry.verify_singer_action(
-            gamma, G, geometry.right_translation_action(G))
-        report["action"] = {"ok": acert.ok, "detail": acert.detail}
-        ok = acert.ok
-    return report, ok
+def _rebuilt(kind, obj, payload, ok):
+    """(report, ok) for a recorded payload against its rebuild: it passes
+    when every key of either matches and the rebuild's certificates pass."""
+    matches = {k: k in obj and k in payload and obj[k] == payload[k]
+               for k in sorted(obj.keys() | payload.keys())}
+    return {"kind": kind, "matches": matches}, ok and all(matches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +380,7 @@ def build_parser():
     for name in ("quotient", "roundtrip"):
         pq = hs.add_parser(name)
         pq.add_argument("--p", type=int, required=True,
-                        help="a prime power; the base field is "
-                             "GF(p^q-deg)")
-        pq.add_argument("--q-deg", type=int, default=1)
+                        help="a prime power; the base field is GF(p)")
         pq.add_argument("--ext", type=int, required=True)
         pq.add_argument("--generators", default=None,
                         help="unit subgroup generators (element codes)")

@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 
-from .errors import DomainError, BoundedFailure
+from .errors import DomainError, BoundedFailure, Certificate
 from .groups import parse_group, has_involution, FieldQuotient
 from . import gf
 
@@ -54,16 +54,6 @@ class PartialDifferenceSet:
         return PartialDifferenceSet(G, els, bool(obj.get("certified", False)))
 
 
-@dataclass
-class Certificate:
-    ok: bool
-    kind: str
-    detail: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
-
-
 def differences(S):
     """{ a b^-1 : a, b in S, a != b } as a set."""
     G = S.group
@@ -95,14 +85,13 @@ def verify_partial(S):
     diffs = differences(S)
     if len(diffs) == k * (k - 1):
         # one difference per ordered pair: the map is injective
-        return Certificate(True, "partial-difference-set",
-                           {"differences": len(diffs)})
+        return Certificate(True, {"differences": len(diffs)})
     # the elements are distinct, so fewer differences than ordered pairs
     # means some difference comes from two pairs
     for d, ps in _difference_pairs(S).items():
         if len(ps) > 1:
             G = S.group
-            return Certificate(False, "partial-difference-set", {
+            return Certificate(False, {
                 "difference": G.canon(d),
                 "pairs": [[G.canon(a), G.canon(b)] for a, b in ps[:2]],
             })
@@ -123,19 +112,17 @@ def verify_perfect(S):
     pairs = _difference_pairs(S)
     for d, ps in pairs.items():
         if len(ps) > 1:
-            return Certificate(False, "perfect-difference-set", {
+            return Certificate(False, {
                 "difference": G.canon(d),
                 "pairs": [[G.canon(a), G.canon(b)] for a, b in ps[:2]],
             })
     e = G.identity
     missing = [g for g in G.elements() if g != e and g not in pairs]
     if missing:
-        return Certificate(False, "perfect-difference-set", {
-            "missing": G.canon(missing[0]),
-        })
+        return Certificate(False, {"missing": G.canon(missing[0])})
     k = len(S.elements)
     assert G.order == k * k - k + 1, "ordered pair count must match G \\ {e}"
-    return Certificate(True, "perfect-difference-set", {"k": k, "v": G.order})
+    return Certificate(True, {"k": k, "v": G.order})
 
 
 def classical_singer(q, m):
@@ -409,18 +396,17 @@ def verify_log(state, log_hash):
     every difference has one pair (a, b), and it is a difference of a
     prefix exactly when a and b both lie in that prefix."""
     if state.log_hash() != log_hash:
-        return Certificate(False, "builder-log",
-                           {"recomputed_log_hash": state.log_hash()})
+        return Certificate(False, {"recomputed_log_hash": state.log_hash()})
     try:
         sizes = replay_chain(state)
     except AssertionError as exc:
-        return Certificate(False, "builder-log", {"replay": str(exc)})
+        return Certificate(False, {"replay": str(exc)})
     G = state.current.group
     position = {s: i for i, s in enumerate(state.current.elements)}
     pairs = _difference_pairs(state.current)
     for entry, size in zip(state.log, sizes):
         ps = pairs.get(G.parse(entry["target"]))
         if ps is None or max(position[ps[0][0]], position[ps[0][1]]) >= size:
-            return Certificate(False, "builder-log", {
+            return Certificate(False, {
                 "target": entry["target"], "prefix": size})
-    return Certificate(True, "builder-log", {"prefixes": len(sizes)})
+    return Certificate(True, {"prefixes": len(sizes)})

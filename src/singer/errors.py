@@ -5,6 +5,8 @@ Verification failures are not exceptions: verifiers return certificate
 objects and the CLI maps a failed certificate to exit 2.
 """
 
+from dataclasses import dataclass, field
+
 
 class SingerError(Exception):
     pass
@@ -20,3 +22,12 @@ class CapError(SingerError):
 
 class BoundedFailure(SingerError):
     """A bounded search ran out of budget without an answer."""
+
+
+@dataclass
+class Certificate:
+    ok: bool
+    detail: dict = field(default_factory=dict)
+
+    def __bool__(self):
+        return self.ok

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import factorial
 
-from .errors import DomainError, CapError
+from .errors import DomainError, CapError, Certificate
 from . import gf
 from .groups import (Monomial, Symmetric, closure, cyclic_generator,
                      subgroup_generators)
@@ -51,14 +51,7 @@ class ActionGroup:
         return len(self.elements)
 
 
-@dataclass
-class RegularityCertificate:
-    ok: bool
-    detail: dict
-
-    def __bool__(self):
-        return self.ok
-
+class RegularityCertificate(Certificate):
     def to_json(self):
         return {"regular": self.ok, "detail": self.detail}
 
@@ -238,17 +231,9 @@ def singer_general(S, n=None):
 # embeddings and the directed system
 
 @dataclass
-class EmbeddingCertificate:
-    ok: bool
-    detail: dict
+class EmbeddingCertificate(Certificate):
     group_map: dict = None
     point_map: dict = None
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json(self):
-        return {"embedding": self.ok, "detail": self.detail}
 
 
 def embed_singer(m, i, j, S=None):

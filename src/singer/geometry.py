@@ -6,10 +6,10 @@ scans are pairwise bitmask intersections routed through the kernel
 backend (compiled when available)."""
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, CapError
+from .errors import DomainError, CapError, Certificate
 from . import gf
 from ._backend import line_pair_witness, coverage_witness
 from .groups import subgroup_generators
@@ -294,15 +294,6 @@ def pg_singer_structure(q, m):
                                          "m": m, "q": q})
 
 
-@dataclass
-class ActionCertificate:
-    ok: bool
-    detail: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
-
-
 def _preserves_lines(gamma, images, line_masks):
     """Whether the point map `images` sends every line of gamma to a line."""
     for line in gamma.lines:
@@ -358,8 +349,7 @@ def verify_singer_action(gamma, G, action):
             row = rows[t]
             if [col[j] for j in prod] != [row[q] for q in col]:
                 return _exhaustive_singer_action(gamma, G, action)
-    return ActionCertificate(True, {"group_order": len(els),
-                                    "points": npts})
+    return Certificate(True, {"group_order": len(els), "points": npts})
 
 
 def _exhaustive_singer_action(gamma, G, action):
@@ -371,25 +361,24 @@ def _exhaustive_singer_action(gamma, G, action):
     for g in els:
         images = [action(g, p) for p in range(npts)]
         if sorted(images) != list(range(npts)):
-            return ActionCertificate(False, {"reason": "not a permutation",
-                                             "g": G.canon(g)})
+            return Certificate(False, {"reason": "not a permutation",
+                                       "g": G.canon(g)})
         if not _preserves_lines(gamma, images, line_masks):
-            return ActionCertificate(False, {
+            return Certificate(False, {
                 "reason": "line not preserved", "g": G.canon(g)})
     for p in range(npts):
         seen = {}
         for g in els:
             q = action(g, p)
             if q in seen:
-                return ActionCertificate(False, {
+                return Certificate(False, {
                     "reason": "not free", "point": p,
                     "movers": [G.canon(seen[q]), G.canon(g)]})
             seen[q] = g
         if len(seen) != npts:
-            return ActionCertificate(False, {
+            return Certificate(False, {
                 "reason": "not transitive", "point": p})
-    return ActionCertificate(True, {"group_order": len(els),
-                                    "points": npts})
+    return Certificate(True, {"group_order": len(els), "points": npts})
 
 
 # ---------------------------------------------------------------------------

@@ -451,8 +451,6 @@ def quotient_hyperring(Q):
             hyperadd[x][y] = hyperadd[y][x] = mask
     T = HyperTable(labels, orbit_of[0], orbit_of[1], mul, hyperadd)
     T.quotient = Q
-    T.unit_subgroup = G
-    T.orbits = orbits
     return T
 
 

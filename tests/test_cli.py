@@ -62,13 +62,12 @@ def test_hyper_stdout_pinned(capsys):
 
 @pytest.mark.parametrize("argv", [
     "hyper quotient --p 2 --ext 20",              # 2^20 orbits of size 1
-    "hyper quotient --p 2 --q-deg 2 --ext 10",    # orbits of size <= 3
+    "hyper quotient --p 4 --ext 10",              # orbits of size <= 3
     "classical --q 100000000000031",              # a prime above 2^20
     "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
     "classical --q 2 --m 11",                     # 8.4M incidences
     "classical --q 2 --m 15",                     # 2.1G incidences
     "hyper quotient --p 3 --ext 100000000",       # GF(3^(10^8))
-    "hyper quotient --p 3 --q-deg 10000000 --ext 1",  # q = 3^(10^7)
     "hughes --group fieldquot:p=3,n=1,m=100000000 --targets 2",
     "lemma --p 100000000000031 --max 2",          # a prime above 2^20
     "lemma --p 2 --max 4096",                     # 2^8192: 8193 bits
@@ -165,10 +164,9 @@ def test_hyper_p_takes_a_prime_power(cmd, capsys):
         code, out, err = run(["hyper", cmd, "--p", p, "--ext", "3"], capsys)
         assert code == 1 and out == ""
         assert err == f"error: {p} is not a prime power\n"
-    code, out, _ = run(["hyper", cmd, "--p", "4", "--ext", "3"], capsys)
-    assert code == 0
-    assert out == run(["hyper", cmd, "--p", "2", "--q-deg", "2", "--ext", "3"],
-                      capsys)[1]
+    code, out, err = run(["hyper", cmd, "--p", "2", "--q-deg", "2",
+                          "--ext", "3"], capsys)
+    assert code == 1 and out == "" and "--q-deg" in err
 
 
 def test_hyper_roundtrip(capsys):
@@ -313,22 +311,31 @@ def test_verify_only_roundtrips(tmp_path, capsys):
     table_file.write_text(json.dumps(obj["table"]))
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
     assert code == 0 and json.loads(out)["kind"] == "hypertable"
-    # a whole `hyper` payload is re-checked through its `table`
-    payload(["--out", str(table_file), "hyper", "kalg", "--n", "4"], capsys)
+    # a whole `hyper` payload: its table's axioms and its classification
+    # are recomputed and compared with the recorded ones
+    obj = payload(["--out", str(table_file), "hyper", "kalg", "--n", "4"],
+                  capsys)
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
-    assert code == 0 and json.loads(out)["kind"] == "hypertable"
-    # a `lemma` payload's table and failures are recomputed from (p, max)
+    assert code == 0 and json.loads(out) == {
+        "kind": "hypertable",
+        "matches": {"axioms": True, "classification": True}}
+    obj["classification"] = {"case": "field-quotient", "q": 2, "m": 2}
+    table_file.write_text(json.dumps(obj))
+    code, out, _ = run(["--verify-only", str(table_file)], capsys)
+    assert code == 2 and json.loads(out)["matches"] == {
+        "axioms": True, "classification": False}
+    # a `lemma` payload is rebuilt from (p, max) and compared key by key
     obj = payload(["--out", str(table_file), "lemma", "--p", "2"], capsys)
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
     assert code == 0 and json.loads(out) == {
-        "kind": "lemma", "table_matches": True, "failures_match": True}
+        "kind": "lemma", "matches": {"failures": True, "max": True,
+                                     "p": True, "table": True}}
     obj["table"][3]["divides"] = not obj["table"][3]["divides"]
     table_file.write_text(json.dumps(obj))
     code, out, _ = run(["--verify-only", str(table_file)], capsys)
-    assert code == 2 and json.loads(out)["table_matches"] is False
+    assert code == 2 and json.loads(out)["matches"]["table"] is False
 
-    # a `classical --m >= 3` payload is rebuilt from its (q, m), and the
-    # action is re-certified on its space
+    # a `classical --m >= 3` payload is rebuilt from its group's (q, m)
     space_file = tmp_path / "space.json"
     for q in ("2", "5", "4"):
         obj = payload(["--out", str(space_file), "classical", "--q", q,
@@ -336,7 +343,9 @@ def test_verify_only_roundtrips(tmp_path, capsys):
         code, out, _ = run(["--verify-only", str(space_file)], capsys)
         rep = json.loads(out)
         assert code == 0 and rep["kind"] == "singer-space"
-        assert rep["action"]["ok"]
+        assert rep["matches"] == dict.fromkeys(
+            ("action_detail", "action_regular", "difference_set", "space"),
+            True)
     v = obj["space"]["points"]
 
     def other(values):
@@ -350,7 +359,8 @@ def test_verify_only_roundtrips(tmp_path, capsys):
         els = o["difference_set"]["elements"]
         els[-1] = str(other([int(x) for x in els]))
 
-    for edit in (move_point, move_element):
+    for edit in (move_point, move_element,
+                 lambda o: o.__setitem__("action_regular", False)):
         bad = json.loads(json.dumps(obj))
         edit(bad)
         space_file.write_text(json.dumps(bad))
@@ -374,17 +384,16 @@ def test_verify_only_roundtrips(tmp_path, capsys):
 
 
 def test_verify_only_rechecks_classical_plane(tmp_path, capsys):
-    """A whole `classical --m 2` payload: the plane is rebuilt from the
-    set, and every recorded certificate is recomputed."""
+    """A whole `classical --m 2` payload is rebuilt from its group's
+    (q, m): the set, the plane and every recorded certificate must equal
+    the rebuilt ones."""
     path = tmp_path / "plane.json"
     for q in ("2", "3", "4"):
         obj = payload(["--out", str(path), "classical", "--q", q], capsys)
         code, out, _ = run(["--verify-only", str(path)], capsys)
         rep = json.loads(out)
         assert code == 0 and rep["kind"] == "singer-plane"
-        assert rep["perfect"] and rep["plane_matches"]
-        assert rep["recorded_matches"] and rep["action"]["ok"]
-        assert rep["plane_certificate"] == obj["plane_certificate"]
+        assert rep["matches"] == dict.fromkeys(obj, True)
     v = obj["plane"]["points"]
 
     def move_point(o):
@@ -406,6 +415,50 @@ def test_verify_only_rechecks_classical_plane(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         code, out, _ = run(["--verify-only", str(path)], capsys)
         assert code == 2 and json.loads(out)["kind"] == "singer-plane"
+    # only what `classical` emits is certified: the same perfect set and
+    # plane in a group that no field quotient names are refused
+    obj["difference_set"]["group"] = f"cyclic:{v}"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["--verify-only", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: a classical payload needs a fieldquot group\n"
+
+
+@pytest.mark.parametrize("argv, flip, code", [
+    ("classical --q 3", ("perfect",), 0),
+    ("classical --q 2 --m 3", ("action_regular",), 0),
+    ("hughes --group free:2 --targets 5", None, 0),
+    ("hyper krasner", ("axioms", "hyperfield"), 0),
+    ("hyper kalg --n 4", ("axioms", "hyperfield"), 0),
+    ("hyper quotient --p 3 --ext 2", ("axioms", "hyperfield"), 0),
+    ("hyper roundtrip --p 3 --ext 3", ("axioms", "hyperfield"), 0),
+    ("hyper classify --in TABLE", ("axioms", "hyperfield"), 0),
+    ("lemma --p 2 --max 6", ("table", 0, "divides"), 0),
+    # `f1` payloads do not record --S, so they cannot be rebuilt
+    ("f1 --m 2 --n 4", None, 1),
+])
+def test_every_payload_rechecks(argv, flip, code, tmp_path, capsys):
+    """Each subcommand's payload, written with --out, re-checks with exit
+    0 as emitted and with exit 2 once a recorded boolean certificate is
+    flipped."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(payload(["hyper", "krasner"], capsys)
+                                ["table"]))
+    path = tmp_path / "payload.json"
+    obj = payload(["--out", str(path)]
+                  + argv.replace("TABLE", str(table)).split(), capsys)
+    got, out, err = run(["--verify-only", str(path)], capsys)
+    assert got == code, out
+    if code:
+        assert out == "" and err == "error: unrecognized payload shape\n"
+    if flip:
+        target = obj
+        for key in flip[:-1]:
+            target = target[key]
+        assert target[flip[-1]] is True
+        target[flip[-1]] = False
+        path.write_text(json.dumps(obj))
+        assert run(["--verify-only", str(path)], capsys)[0] == 2
 
 
 def test_verify_only_replays_hughes_log(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_full_unit_quotient_is_krasner():
 def test_quotient_f9_mod_f3():
     T = hyper.field_quotient_table(3, 2)
     assert T.n == 5
-    assert len(T.unit_subgroup) == 2
+    assert len(T.quotient.unit_group()) == 2
     assert hyper.check_axioms(T).passed()
     assert hyper.is_k_vectorspace(T)
     assert hyper.contains_krasner(T)
