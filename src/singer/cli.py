@@ -291,8 +291,13 @@ def cmd_verify_only_obj(obj):
     if "elements" in obj and "group" in obj:
         S = diffsets.PartialDifferenceSet.from_json(obj)
         cert = diffsets.verify_partial(S)
-        return ({"kind": "difference-set", "ok": cert.ok,
-                 "detail": cert.detail}, cert.ok)
+        report = {"kind": "difference-set", "ok": cert.ok,
+                  "detail": cert.detail}
+        # a recorded `certified` claim must agree with the re-check
+        if "certified" in obj and obj["certified"] is not cert.ok:
+            report["recorded_certified"] = obj["certified"]
+            return report, False
+        return report, cert.ok
     if "points" in obj and "lines" in obj:
         gamma = geometry.IncidenceStructure.from_json(obj)
         cert = geometry.verify_plane(gamma)

@@ -6,6 +6,13 @@ sum c_i p^i.  That encoding is the enumeration order.  The modulus is the
 lexicographically least monic irreducible of its degree, coefficients
 compared low-to-high, so fields are reproducible without external tables.
 
+Multiplication, powers and inverses in GF(p^n), n > 1, read the discrete
+logs of `log_tables`, which a field loads the first time it needs them:
+a*b = exp[(log a + log b) mod (q-1)].  Polynomial products serve only the
+bootstrap that builds those tables (`primitive_element` and the fill's
+product tables), and prime fields reduce mod p directly.  Addition is XOR
+of the codes for p = 2 and a digit loop for odd p.
+
 Root finding is an exhaustive scan (the size cap is 2^20); over the
 rationals only the rational root theorem is used.
 """
@@ -160,6 +167,7 @@ class GF:
         self.p, self.n = p, n
         self.q = p ** n
         self.modulus = least_irreducible(p, n)
+        self._exp = self._log = None     # log_tables, loaded on first use
 
     # -- encoding -----------------------------------------------------------
     def to_coeffs(self, a):
@@ -185,6 +193,8 @@ class GF:
     # -- arithmetic ----------------------------------------------------------
     def add(self, a, b):
         p = self.p
+        if p == 2:
+            return a ^ b
         out = 0
         mult = 1
         for _ in range(self.n):
@@ -207,30 +217,53 @@ class GF:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def _tables(self):
+        """(exp, log) of `log_tables`, kept on the field after the first
+        call; n > 1 only."""
+        if self._log is None:
+            _, self._exp, self._log = log_tables(self)
+        return self._exp, self._log
+
     def mul(self, a, b):
         if self.n == 1:
             return (a * b) % self.p
-        c = poly_mul(self.to_coeffs(a), self.to_coeffs(b), self.p)
-        return self.from_coeffs(poly_mod(c, self.modulus, self.p) + (0,) * self.n)
+        if a == 0 or b == 0:
+            return 0
+        exp, log = self._tables()
+        return exp[(log[a] + log[b]) % (self.q - 1)]
 
     def pow(self, a, e):
         if a == 0:
             if e < 0:
                 raise DomainError("inversion of zero")
             return 0 if e else 1
-        e %= self.q - 1
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if self.n == 1:
+            return pow(a, e % (self.q - 1), self.p)
+        exp, log = self._tables()
+        return exp[log[a] * e % (self.q - 1)]
 
     def inv(self, a):
         if a == 0:
             raise DomainError("inversion of zero")
-        return self.pow(a, self.q - 2)
+        return self.pow(a, -1)
+
+    def _poly_mul(self, a, b):
+        """a*b as a polynomial product mod the modulus.  Only the bootstrap
+        of the log tables uses it, since the tables need g first."""
+        if self.n == 1:
+            return (a * b) % self.p
+        c = poly_mul(self.to_coeffs(a), self.to_coeffs(b), self.p)
+        return self.from_coeffs(poly_mod(c, self.modulus, self.p) + (0,) * self.n)
+
+    def _poly_pow(self, a, e):
+        """a^e for 0 <= e by square-and-multiply of `_poly_mul`."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._poly_mul(out, a)
+            a = self._poly_mul(a, a)
+            e >>= 1
+        return out
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -249,7 +282,7 @@ class GF:
         the least a with a^((q-1)/r) != 1 for every prime r dividing q-1."""
         cofactors = [(self.q - 1) // r for r in prime_divisors(self.q - 1)]
         for a in range(1, self.q):
-            if all(self.pow(a, c) != 1 for c in cofactors):
+            if all(self._poly_pow(a, c) != 1 for c in cofactors):
                 return a
         raise DomainError("no primitive element found")  # unreachable
 
@@ -289,7 +322,13 @@ def log_tables(F):
     P = p^h, the code x = lo + P*hi is the polynomial lo(X) + X^h hi(X), so
     x*g = lo*g + (P*hi)*g: two lookups in tables of p^h and p^(n-h)
     products and one field addition, which is XOR for p = 2
-    (DECISIONS.md, "Log tables stepped by a linear map")."""
+    (DECISIONS.md, "Log tables stepped by a linear map").  The products
+    are polynomial ones, since `GF.mul` reads these tables.
+
+    `GF.mul`, `pow` and `inv` trust the tables, so the fill proves them:
+    after q-1 steps x must be back at 1, and every nonzero code must have
+    been reached once.  Otherwise g is not primitive and DomainError is
+    raised."""
     g = F.primitive_element()
     p, n = F.p, F.n
     N = F.q - 1
@@ -297,14 +336,19 @@ def log_tables(F):
     log = array("i", [-1]) * F.q
     h = (n + 1) // 2
     P = p ** h
-    lo_g = [F.mul(lo, g) for lo in range(P)]
-    hi_g = [F.mul(P * hi, g) for hi in range(p ** (n - h))]
+    lo_g = [F._poly_mul(lo, g) for lo in range(P)]
+    hi_g = [F._poly_mul(P * hi, g) for hi in range(p ** (n - h))]
     add = operator.xor if p == 2 else F.add
     x = 1
     for i in range(N):
         exp[i] = x
         log[x] = i
         x = add(lo_g[x % P], hi_g[x // P])
+    # the N writes leave only log[0] at -1 exactly when they reached the N
+    # nonzero codes once each
+    if x != 1 or log[0] != -1 or log.count(-1) != 1:
+        raise DomainError(f"{g} does not generate the units of {F!r}: the "
+                          "log tables would have holes")
     return g, exp, log
 
 

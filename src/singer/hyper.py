@@ -10,6 +10,7 @@ test run on packed rows, one integer per row of the table, without
 unpacking any sum point by point.  Carriers are capped at 256."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, CapError
@@ -389,15 +390,19 @@ class QuotientSpec:
             return range(self.ring.q)
         return range(self.ring[1])
 
-    def ring_mul(self, a, b):
+    @cached_property
+    def ring_ops(self):
+        """(add, mul) of the ring, chosen once per spec."""
         if isinstance(self.ring, gf.GF):
-            return self.ring.mul(a, b)
-        return (a * b) % self.ring[1]
+            return self.ring.add, self.ring.mul
+        m = self.ring[1]
+        return (lambda a, b: (a + b) % m), (lambda a, b: (a * b) % m)
+
+    def ring_mul(self, a, b):
+        return self.ring_ops[1](a, b)
 
     def ring_add(self, a, b):
-        if isinstance(self.ring, gf.GF):
-            return self.ring.add(a, b)
-        return (a + b) % self.ring[1]
+        return self.ring_ops[0](a, b)
 
     def unit_group(self):
         """Closure of the generators under multiplication; checks they are
@@ -409,7 +414,7 @@ class QuotientSpec:
                     raise DomainError("0 is not a unit")
             elif gcd(g, self.ring[1]) != 1:
                 raise DomainError(f"{g} is not a unit mod {self.ring[1]}")
-        return sorted(closure(self.ring_mul, gens, [1]))
+        return sorted(closure(self.ring_ops[1], gens, [1]))
 
 
 def quotient_hyperring(Q):
@@ -422,6 +427,7 @@ def quotient_hyperring(Q):
     ring kinds are commutative, so each pair x <= y is computed once."""
     G = Q.unit_group()
     elements = Q.ring_elements()
+    add, mul = Q.ring_ops
     # an orbit has at most |G| elements, so there are at least |R|/|G|
     if -(-len(elements) // len(G)) > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
@@ -430,7 +436,7 @@ def quotient_hyperring(Q):
     for x in elements:
         if x in orbit_of:
             continue
-        orb = sorted({Q.ring_mul(x, g) for g in G})
+        orb = sorted({mul(x, g) for g in G})
         idx = len(orbits)
         orbits.append(orb)
         for y in orb:
@@ -439,17 +445,17 @@ def quotient_hyperring(Q):
     if n > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
     labels = ["{" + ",".join(map(str, orb)) + "}" for orb in orbits]
-    mul = [[0] * n for _ in range(n)]
+    prod = [[0] * n for _ in range(n)]
     hyperadd = [[0] * n for _ in range(n)]
     for x in range(n):
         rx = orbits[x][0]
         for y in range(x, n):
-            mul[x][y] = mul[y][x] = orbit_of[Q.ring_mul(rx, orbits[y][0])]
+            prod[x][y] = prod[y][x] = orbit_of[mul(rx, orbits[y][0])]
             mask = 0
             for w in orbits[y]:
-                mask |= 1 << orbit_of[Q.ring_add(rx, w)]
+                mask |= 1 << orbit_of[add(rx, w)]
             hyperadd[x][y] = hyperadd[y][x] = mask
-    T = HyperTable(labels, orbit_of[0], orbit_of[1], mul, hyperadd)
+    T = HyperTable(labels, orbit_of[0], orbit_of[1], prod, hyperadd)
     T.quotient = Q
     return T
 
@@ -461,12 +467,18 @@ def field_quotient_table(q, m):
     GF(2^m) itself: a hyperfield with singleton sums and x + x = {0}, not an
     extension of the two-element hyperfield K."""
     p, a = gf.factor_prime_power(q)
+    gf.check_field_size(p, a * m)
+    # {0} and the (q^m - 1)/(q - 1) orbits of GF(q)^x: refused before the
+    # field builds its tables
+    if (q ** m - 1) // (q - 1) + 1 > CARRIER_CAP:
+        raise CapError("carrier cap exceeded")
     F = gf.GF(p, a * m)
     if q == 2:
         gens = (1,)
     else:
-        g = F.primitive_element()
-        gens = (F.pow(g, (F.q - 1) // (q - 1)),)
+        # GF(q)^x = <g^((q^m - 1)/(q - 1))>, read off the field's log tables
+        _, exp, _ = gf.log_tables(F)
+        gens = (exp[(F.q - 1) // (q - 1)],)
     return quotient_hyperring(QuotientSpec(F, gens))
 
 
@@ -490,9 +502,10 @@ def subfield_test(Q):
     """Whether {0} union the unit subgroup is a subfield of the ring."""
     G = Q.unit_group()
     S = {0} | set(G)
+    add, mul = Q.ring_ops
     for a in S:
         for b in S:
-            if Q.ring_add(a, b) not in S or Q.ring_mul(a, b) not in S:
+            if add(a, b) not in S or mul(a, b) not in S:
                 return False
     return True
 

@@ -501,6 +501,28 @@ def test_verify_only_replays_hughes_log(tmp_path, capsys):
         assert code == 1 and err.startswith("error:")
 
 
+def test_verify_only_refuses_a_false_certified_flag(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    obj = payload(["--out", str(path), "hughes", "--group", "free:2",
+                   "--targets", "5"], capsys)
+    assert obj["difference_set"]["certified"] is True
+    assert run(["--verify-only", str(path)], capsys)[0] == 0
+    obj["difference_set"]["certified"] = False
+    # the whole payload and the bare difference set
+    for tampered in (obj, obj["difference_set"]):
+        path.write_text(json.dumps(tampered))
+        code, out, _ = run(["--verify-only", str(path)], capsys)
+        rep = json.loads(out)
+        assert code == 2 and rep["kind"] == "difference-set"
+        assert rep["ok"] is True and rep["recorded_certified"] is False
+    # a set that fails the re-check may say so
+    bad = {"group": "integers", "elements": ["0", "1", "2"],
+           "certified": False}
+    path.write_text(json.dumps(bad))
+    code, out, _ = run(["--verify-only", str(path)], capsys)
+    assert code == 2 and "recorded_certified" not in json.loads(out)
+
+
 def test_out_flag_writes_identical_payload(tmp_path, capsys):
     out = tmp_path / "p.json"
     code, stdout, _ = run(["--out", str(out), "classical", "--q", "2"],

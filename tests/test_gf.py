@@ -2,6 +2,7 @@ import itertools
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singer.errors import DomainError
 from singer import gf
@@ -63,8 +64,34 @@ def test_primitive_element_is_least_of_full_order():
             n += 1
 
 
+def poly_product(F, a, b):
+    """a*b in F by gf.poly_mul and gf.poly_mod: the reference that reads no
+    log table."""
+    c = gf.poly_mul(F.to_coeffs(a), F.to_coeffs(b), F.p)
+    return F.from_coeffs(gf.poly_mod(c, F.modulus, F.p))
+
+
+def poly_power(F, a, e):
+    """a^e in F, any integer e, by square-and-multiply of `poly_product`."""
+    if a:
+        e %= F.q - 1
+    out = 1
+    while e:
+        if e & 1:
+            out = poly_product(F, out, a)
+        a = poly_product(F, a, a)
+        e >>= 1
+    return out
+
+
+def digit_add(F, a, b):
+    """a+b in F digit by digit mod p."""
+    return F.from_coeffs(tuple((x + y) % F.p for x, y in
+                               zip(F.to_coeffs(a), F.to_coeffs(b))))
+
+
 def stepped_log_tables(F):
-    """The tables by the plain loop x -> F.mul(x, g)."""
+    """The tables by the plain loop x -> x*g, with polynomial products."""
     g = F.primitive_element()
     exp = array("i", [0]) * (F.q - 1)
     log = array("i", [-1]) * F.q
@@ -72,7 +99,7 @@ def stepped_log_tables(F):
     for i in range(F.q - 1):
         exp[i] = x
         log[x] = i
-        x = F.mul(x, g)
+        x = poly_product(F, x, g)
     return g, exp, log
 
 
@@ -92,9 +119,78 @@ def test_log_tables(p, n):
     assert log[0] == -1
     if (p, n) in STEPPED_CASES:
         assert (g, exp, log) == stepped_log_tables(F)
+    x = 1
     for i in range(min(F.q - 1, 1000)):
         assert exp[i] == F.pow(g, i) and log[exp[i]] == i
+        assert exp[i] == x
+        x = poly_product(F, x, g)
     assert sorted(exp) == list(range(1, F.q))
+
+
+@pytest.mark.parametrize("p,n,a", [(2, 4, 1), (2, 4, 8), (3, 2, 2),
+                                   (5, 2, 4), (7, 1, 2)])
+def test_log_tables_refuse_a_non_primitive_generator(p, n, a, monkeypatch):
+    F = gf.GF(p, n)
+    assert F.mult_order(a) < F.q - 1
+    monkeypatch.setattr(gf.GF, "primitive_element", lambda self: a)
+    with pytest.raises(DomainError, match="does not generate"):
+        gf.log_tables.__wrapped__(F)    # past the cache
+
+
+# every field of order at most 256 with n > 1, and some prime fields
+SMALL_FIELDS = [(p, n) for p in range(2, 17) if gf.is_prime(p)
+                for n in range(2, 9) if p ** n <= 256] + [
+    (2, 1), (3, 1), (7, 1), (251, 1)]
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_table_arithmetic_matches_polynomials(p, n):
+    F = gf.GF(p, n)
+    q = F.q
+    ref = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):
+            ref[a][b] = ref[b][a] = poly_product(F, a, b)
+    for a in range(q):
+        assert [F.mul(a, b) for b in range(q)] == ref[a], a
+    assert [F.pow(0, e) for e in range(3)] == [1, 0, 0]
+    for a in range(1, q):
+        powers = [1]                    # a^0 .. a^(q-2) by the reference
+        for _ in range(q - 2):
+            powers.append(ref[powers[-1]][a])
+        assert [F.pow(a, e) for e in range(-q, 2 * q)] == [
+            powers[e % (q - 1)] for e in range(-q, 2 * q)], a
+        assert F.inv(a) == powers[q - 2] and ref[a][F.inv(a)] == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_xor_add_matches_digit_loop(n):
+    F = gf.GF(2, n)
+    for a in range(F.q):
+        assert [F.add(a, b) for b in range(F.q)] == [
+            digit_add(F, a, b) for b in range(F.q)], a
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (5, 4), (23, 3)])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_table_arithmetic_random(p, n, data):
+    F = gf.GF(p, n)
+    el = st.integers(0, F.q - 1)
+    a, b, c = data.draw(el), data.draw(el), data.draw(el)
+    e = data.draw(st.integers(-3 * F.q, 3 * F.q))
+    assert F.mul(a, b) == poly_product(F, a, b)
+    assert F.add(a, b) == digit_add(F, a, b)
+    assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    if a == 0 and e < 0:
+        with pytest.raises(DomainError):
+            F.pow(a, e)
+        return
+    assert F.pow(a, e) == poly_power(F, a, e)
+    if a:
+        assert F.inv(a) == poly_power(F, a, F.q - 2)
+        assert poly_product(F, a, F.inv(a)) == 1
 
 
 @pytest.mark.parametrize("p,n", [(2, k) for k in range(1, 13)]
@@ -104,7 +200,10 @@ def test_frobenius_is_automorphism(p, n):
     F = gf.GF(p, n)
     if F.q > 4096:
         pytest.skip("cap")
-    frob = [F.frobenius(a) for a in range(F.q)]
+    # the reference a^p by polynomial products, so that the `mul` half
+    # tests the log tables against the field's own Frobenius
+    frob = [poly_power(F, a, p) for a in range(F.q)]
+    assert frob == [F.frobenius(a) for a in range(F.q)]
     assert len(set(frob)) == F.q
     for a in range(F.q):
         for b in range(0, F.q, max(1, F.q // 16)):
