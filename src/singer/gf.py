@@ -11,7 +11,8 @@ logs of `log_tables`, which a field loads the first time it needs them:
 a*b = exp[(log a + log b) mod (q-1)].  Polynomial products serve only the
 bootstrap that builds those tables (`primitive_element` and the fill's
 product tables), and prime fields reduce mod p directly.  Addition is XOR
-of the codes for p = 2 and a digit loop for odd p.
+of the codes for p = 2 and a digit loop for odd p (DECISIONS.md, "Field
+arithmetic on the log tables").
 
 Root finding is an exhaustive scan (the size cap is 2^20); over the
 rationals only the rational root theorem is used.

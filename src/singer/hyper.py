@@ -10,7 +10,6 @@ test run on packed rows, one integer per row of the table, without
 unpacking any sum point by point.  Carriers are capped at 256."""
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, CapError
@@ -390,19 +389,15 @@ class QuotientSpec:
             return range(self.ring.q)
         return range(self.ring[1])
 
-    @cached_property
-    def ring_ops(self):
-        """(add, mul) of the ring, chosen once per spec."""
+    def __post_init__(self):
+        # ring_add and ring_mul are the ring's own operations, chosen once
         if isinstance(self.ring, gf.GF):
-            return self.ring.add, self.ring.mul
-        m = self.ring[1]
-        return (lambda a, b: (a + b) % m), (lambda a, b: (a * b) % m)
-
-    def ring_mul(self, a, b):
-        return self.ring_ops[1](a, b)
-
-    def ring_add(self, a, b):
-        return self.ring_ops[0](a, b)
+            add, mul = self.ring.add, self.ring.mul
+        else:
+            m = self.ring[1]
+            add, mul = (lambda a, b: (a + b) % m), (lambda a, b: (a * b) % m)
+        object.__setattr__(self, "ring_add", add)
+        object.__setattr__(self, "ring_mul", mul)
 
     def unit_group(self):
         """Closure of the generators under multiplication; checks they are
@@ -414,7 +409,7 @@ class QuotientSpec:
                     raise DomainError("0 is not a unit")
             elif gcd(g, self.ring[1]) != 1:
                 raise DomainError(f"{g} is not a unit mod {self.ring[1]}")
-        return sorted(closure(self.ring_ops[1], gens, [1]))
+        return sorted(closure(self.ring_mul, gens, [1]))
 
 
 def quotient_hyperring(Q):
@@ -427,7 +422,7 @@ def quotient_hyperring(Q):
     ring kinds are commutative, so each pair x <= y is computed once."""
     G = Q.unit_group()
     elements = Q.ring_elements()
-    add, mul = Q.ring_ops
+    add, mul = Q.ring_add, Q.ring_mul
     # an orbit has at most |G| elements, so there are at least |R|/|G|
     if -(-len(elements) // len(G)) > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
@@ -502,7 +497,7 @@ def subfield_test(Q):
     """Whether {0} union the unit subgroup is a subfield of the ring."""
     G = Q.unit_group()
     S = {0} | set(G)
-    add, mul = Q.ring_ops
+    add, mul = Q.ring_add, Q.ring_mul
     for a in S:
         for b in S:
             if add(a, b) not in S or mul(a, b) not in S:

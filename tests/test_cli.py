@@ -63,6 +63,8 @@ def test_hyper_stdout_pinned(capsys):
 @pytest.mark.parametrize("argv", [
     "hyper quotient --p 2 --ext 20",              # 2^20 orbits of size 1
     "hyper quotient --p 4 --ext 10",              # orbits of size <= 3
+    # the unit group's closure loads GF(2^20)'s log tables before the cap
+    "hyper quotient --p 2 --ext 20 --generators 1",
     "classical --q 100000000000031",              # a prime above 2^20
     "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
     "classical --q 2 --m 11",                     # 8.4M incidences
