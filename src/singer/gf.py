@@ -147,8 +147,8 @@ def least_irreducible(p, n):
     if n == 1:
         return (0, 1)
     # itertools.product is lexicographic with the first coordinate most
-    # significant
-    for lows in itertools.product(range(p), repeat=n):
+    # significant; X divides every f with f(0) = 0, so those are skipped
+    for lows in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         f = lows + (1,)
         if poly_is_irreducible(f, p):
             return f
@@ -270,12 +270,14 @@ class GF:
         return self.pow(a, self.p)
 
     def mult_order(self, a):
+        """The order of a in F^x: q - 1 divided by each prime r while
+        a^(k/r) = 1, by `_poly_pow`, so no log tables are built."""
         if a == 0:
             raise DomainError("order of zero undefined")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
+        k = self.q - 1
+        for r in prime_divisors(k):
+            while k % r == 0 and self._poly_pow(a, k // r) == 1:
+                k //= r
         return k
 
     def primitive_element(self):

@@ -7,10 +7,12 @@ are proved from generators of the units; the cubic scans of the kernel
 backend run only when that proof does not apply or finds a failure.  The
 checks of that proof, reversibility and the table maps of the isomorphism
 test run on packed rows, one integer per row of the table, without
-unpacking any sum point by point.  Carriers are capped at 256."""
+unpacking any sum point by point.  Carriers are capped at 256.  The JSON
+codec and the geometry unpack each distinct mask once, one run of set
+bits at a time, and `from_json` packs each cell in one pass."""
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, CapError
 from . import gf
@@ -19,6 +21,7 @@ from ._backend import assoc_witness, distrib_witness
 from .geometry import IncidenceStructure, verify_plane
 
 CARRIER_CAP = 256
+_INDICES = list(range(CARRIER_CAP))     # the carrier indices, sliced by _bits
 
 
 class HyperTable:
@@ -39,8 +42,10 @@ class HyperTable:
         self.zero = zero
         self.one = one
         self.mul = _square(mul, n, "mul")
-        if not all(_is_index(x, n) for row in self.mul for x in row):
-            raise DomainError("products must be carrier indices")
+        for row in self.mul:
+            for x in row:
+                if type(x) is not int or not 0 <= x < n:
+                    raise DomainError("products must be carrier indices")
         self.hyperadd = _square(hyperadd, n, "hyperadd")
         full = (1 << n) - 1
         for row in self.hyperadd:
@@ -53,13 +58,17 @@ class HyperTable:
         return _bits(self.hyperadd[x][y])
 
     def to_json(self):
+        """The table as JSON-ready lists.  Each distinct mask is unpacked
+        once, and equal hypersums share that one list: a caller copies a
+        cell before it edits one.  No caller edits a result in place: the
+        CLI serialises it, and the tests edit payloads after `json.loads`."""
+        cells = {m: _bits(m) for m in set().union(*self.hyperadd)}
         return {
             "carrier": self.labels,
             "zero": self.zero,
             "one": self.one,
             "mul": self.mul,
-            "hyperadd": [[self.add_set(x, y) for y in range(self.n)]
-                         for x in range(self.n)],
+            "hyperadd": [[cells[m] for m in row] for row in self.hyperadd],
         }
 
     @staticmethod
@@ -74,13 +83,18 @@ class HyperTable:
         for row in _square(obj["hyperadd"], n, "hyperadd"):
             masks = []
             for cell in row:
-                if not (isinstance(cell, list)
-                        and all(_is_index(k, n) for k in cell)):
-                    raise DomainError(f"hypersum {cell!r} is not a list of "
-                                      f"carrier indices")
-                if len(set(cell)) != len(cell):
+                # one pass tests and packs the indices; a cell that is no
+                # list fails the test on its stand-in None
+                mask = 0
+                for k in cell if isinstance(cell, list) else (None,):
+                    if type(k) is not int or not 0 <= k < n:
+                        raise DomainError(f"hypersum {cell!r} is not a list "
+                                          f"of carrier indices")
+                    mask |= 1 << k
+                # a repeated index sets its bit once
+                if mask.bit_count() != len(cell):
                     raise DomainError(f"repeated point in hypersum {cell!r}")
-                masks.append(sum(1 << k for k in cell))
+                masks.append(mask)
             hyperadd.append(masks)
         return HyperTable(obj["carrier"], obj["zero"], obj["one"],
                           obj["mul"], hyperadd)
@@ -303,11 +317,16 @@ class _Packed:
 
 
 def _bits(mask):
-    """The indices of the set bits of mask, ascending."""
+    """The indices of the set bits of mask, ascending, for a mask below
+    2^CARRIER_CAP.  Adding the lowest set bit to mask clears the lowest run
+    of consecutive set bits and carries into the bit above it, so each run
+    is one slice of _INDICES."""
     out = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
+        low = mask & -mask
+        top = mask + low
+        out += _INDICES[low.bit_length() - 1:(top & -top).bit_length() - 1]
+        mask &= top
     return out
 
 
@@ -399,17 +418,29 @@ class QuotientSpec:
         object.__setattr__(self, "ring_add", add)
         object.__setattr__(self, "ring_mul", mul)
 
-    def unit_group(self):
-        """Closure of the generators under multiplication; checks they are
-        units."""
+    def _units(self):
+        """The generators, each checked to be a unit of the ring."""
         gens = tuple(self.generators)
         for g in gens:
             if isinstance(self.ring, gf.GF):
+                self.ring.validate(g)
                 if g == 0:
                     raise DomainError("0 is not a unit")
             elif gcd(g, self.ring[1]) != 1:
                 raise DomainError(f"{g} is not a unit mod {self.ring[1]}")
-        return sorted(closure(self.ring_mul, gens, [1]))
+        return gens
+
+    def unit_group(self):
+        """Closure of the generators under multiplication."""
+        return sorted(closure(self.ring_mul, self._units(), [1]))
+
+    def unit_order(self):
+        """|<generators>|.  F^x is cyclic, so in a field it is the lcm of
+        the generators' orders, found without the closure or the field's
+        log tables (`GF.mult_order`)."""
+        if isinstance(self.ring, gf.GF):
+            return lcm(*map(self.ring.mult_order, self._units()))
+        return len(self.unit_group())
 
 
 def quotient_hyperring(Q):
@@ -420,12 +451,12 @@ def quotient_hyperring(Q):
     x + y hg^-1, and hg^-1 runs over G with h, so
     xG + yG = {(x + w)G : w in yG}: one orbit of additions per sum.  Both
     ring kinds are commutative, so each pair x <= y is computed once."""
-    G = Q.unit_group()
     elements = Q.ring_elements()
     add, mul = Q.ring_add, Q.ring_mul
     # an orbit has at most |G| elements, so there are at least |R|/|G|
-    if -(-len(elements) // len(G)) > CARRIER_CAP:
+    if -(-len(elements) // Q.unit_order()) > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
+    G = Q.unit_group()
     orbit_of = {}
     orbits = []
     for x in elements:
@@ -516,15 +547,14 @@ def hyperfield_to_geometry(T):
     """Points = carrier minus zero; lines L(x,y) = (x+y) union {x,y}."""
     if not is_k_vectorspace(T):
         raise DomainError("table does not satisfy x + x = {0, x}")
-    z = T.zero
+    z, add = T.zero, T.hyperadd
     points = [x for x in range(T.n) if x != z]
     pidx = {x: i for i, x in enumerate(points)}
-    lines = set()
-    for i, x in enumerate(points):
-        for y in points[i + 1:]:
-            mask = T.hyperadd[x][y] | 1 << x | 1 << y
-            line = [pidx[w] for w in _bits(mask) if w != z]
-            lines.add(tuple(sorted(line)))
+    # a line is a function of its mask, so each distinct mask is unpacked
+    # once; pidx is increasing, so each line comes out sorted
+    masks = {add[x][y] | 1 << x | 1 << y
+             for i, x in enumerate(points) for y in points[i + 1:]}
+    lines = {tuple(pidx[w] for w in _bits(m) if w != z) for m in masks}
     meta = {"construction": "hyperfield", "carrier": [T.labels[p] for p in points]}
     return IncidenceStructure(len(points), sorted(lines), meta)
 

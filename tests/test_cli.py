@@ -54,7 +54,13 @@ def test_hyper_stdout_pinned(capsys):
             ("hyper quotient --p 3 --ext 2 --generators 2",
              "095eae81bceea17dd63130a3319fb3eed19c153ec06f29788431a0149e972c93"),
             ("hyper kalg --n 12", "9c2613f0a255d003382e68e4abe73d7e"
-             "ba07adf05e2783d8867f934f998a14a0")):
+             "ba07adf05e2783d8867f934f998a14a0"),
+            # dense hypersums of more than one machine word
+            ("hyper kalg --n 64", "a14019f2308f4a43adaa88f07895ee0b"
+             "89b46c97806b959b85e5866fdb09aba5"),
+            # sparse hypersums
+            ("hyper roundtrip --p 8 --ext 3", "c89c7af56947fa627a1e9a0da3147"
+             "42f8c15b19a4ab100176d38ef91522571ee")):
         code, out, _ = run(argv.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
@@ -63,7 +69,7 @@ def test_hyper_stdout_pinned(capsys):
 @pytest.mark.parametrize("argv", [
     "hyper quotient --p 2 --ext 20",              # 2^20 orbits of size 1
     "hyper quotient --p 4 --ext 10",              # orbits of size <= 3
-    # the unit group's closure loads GF(2^20)'s log tables before the cap
+    # refused from the generators' orders, before the unit group's closure
     "hyper quotient --p 2 --ext 20 --generators 1",
     "classical --q 100000000000031",              # a prime above 2^20
     "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
@@ -276,6 +282,8 @@ def test_lemma_cap(tmp_path, capsys):
     "classical --q 3 --bogus",
     "hyper classify",             # --in missing
     "hyper classify --n 7",
+    "hyper quotient --p 3 --ext 2 --generators 9",    # not in GF(9)
+    "hyper quotient --p 3 --ext 2 --generators -1",
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, out, err = run(argv.split(), capsys)

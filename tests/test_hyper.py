@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from functools import reduce
@@ -5,7 +6,7 @@ from math import gcd
 from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
 from singer.groups import Cyclic, Abelian
@@ -57,6 +58,14 @@ def test_hypertable_validation():
             hyper.HyperTable.from_json(dict(good, **{key: value}))
     with pytest.raises(DomainError):
         hyper.HyperTable.from_json({"carrier": ["0"]})
+    # a bad index is reported before a repeat, wherever each sits
+    for cell in ([0, 0, 2], [1, 1, "0"], [2, 0, 0]):
+        with pytest.raises(DomainError, match="not a list of carrier"):
+            hyper.HyperTable.from_json(
+                dict(good, hyperadd=[[[0], [1]], [[1], cell]]))
+    with pytest.raises(DomainError, match="repeated point"):
+        hyper.HyperTable.from_json(
+            dict(good, hyperadd=[[[0], [1]], [[1], [1, 0, 1]]]))
 
 
 def test_k_algebra_c3_values_and_defect():
@@ -235,6 +244,26 @@ def _quotient_specs():
                 yield hyper.QuotientSpec(("zmod", m), (u,))
 
 
+def test_unit_order_is_the_closure_size():
+    for Q in _quotient_specs():
+        assert Q.unit_order() == len(Q.unit_group())
+
+
+def test_generator_refusals_build_no_tables(monkeypatch):
+    """The carrier cap and the unit checks come before the closure, whose
+    first product would load the field's log tables."""
+    def no_tables(F):
+        raise AssertionError(f"log tables of {F!r} built")
+    monkeypatch.setattr(gf, "log_tables", no_tables)
+    F = gf.GF(2, 20)
+    for gens, error, match in (((1,), CapError, "carrier cap"),
+                               ((1, 0), DomainError, "0 is not a unit"),
+                               ((F.q,), DomainError, "not an element"),
+                               ((-1,), DomainError, "not an element")):
+        with pytest.raises(error, match=match):
+            hyper.quotient_hyperring(hyper.QuotientSpec(F, gens))
+
+
 def test_quotient_sums_from_one_orbit():
     """quotient_hyperring reads one orbit per sum; it must give the table
     of the |G|^2 definition."""
@@ -309,10 +338,86 @@ def test_tables_isomorphic_non_cyclic_units():
 
 
 def test_json_roundtrip():
-    T = hyper.field_quotient_table(3, 2)
-    again = hyper.HyperTable.from_json(T.to_json())
-    assert again.labels == T.labels
-    assert again.mul == T.mul and again.hyperadd == T.hyperadd
+    for T in (hyper.krasner(), hyper.k_algebra(Cyclic(3)),
+              hyper.k_algebra(Cyclic(64)), hyper.field_quotient_table(3, 2),
+              hyper.field_quotient_table(8, 3), hyper.quotient_hyperring(
+                  hyper.QuotientSpec(("zmod", 12), (5,)))):
+        obj = T.to_json()
+        assert obj["hyperadd"] == [[[k for k in range(T.n) if m >> k & 1]
+                                    for m in row] for row in T.hyperadd]
+        again = hyper.HyperTable.from_json(json.loads(json.dumps(obj)))
+        assert again.labels == T.labels
+        assert (again.zero, again.one) == (T.zero, T.one)
+        assert again.mul == T.mul and again.hyperadd == T.hyperadd
+
+
+def _bit_loop(mask, width):
+    return [i for i in range(width) if mask >> i & 1]
+
+
+def _masks(width):
+    """Masks below 2^width: any, sparse (a few set bits) and dense (a few
+    clear bits)."""
+    full = (1 << width) - 1
+    few = st.lists(st.integers(0, width - 1), max_size=5).map(
+        lambda ks: reduce(or_, (1 << k for k in ks), 0))
+    return st.one_of(st.integers(0, full), few, few.map(full.__xor__))
+
+
+_FULL = (1 << 256) - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 256).flatmap(
+    lambda w: st.tuples(st.just(w), _masks(w))))
+@example((256, 1 << 255)).via("bit 255 alone")
+@example((256, _FULL)).via("the whole carrier")
+@example((256, _FULL ^ 1 << 254)).via("bit 254 clear")
+@example((256, 1 | 0b1011 << 252)).via("runs at both ends")
+def test_bits_match_the_bit_loop(case):
+    width, mask = case
+    assert hyper._bits(mask) == _bit_loop(mask, width)
+
+
+def _geometry_lines_per_pair(T):
+    """The reference: the lines of hyperfield_to_geometry with one unpack
+    per pair of points, bit by bit."""
+    z = T.zero
+    points = [x for x in range(T.n) if x != z]
+    pidx = {x: i for i, x in enumerate(points)}
+    lines = set()
+    for i, x in enumerate(points):
+        for y in points[i + 1:]:
+            mask = T.hyperadd[x][y] | 1 << x | 1 << y
+            lines.add(tuple(sorted(pidx[w] for w in _bit_loop(mask, T.n)
+                                   if w != z)))
+    return sorted(lines)
+
+
+def _edited_line_tables():
+    """K-vector-space tables with one sum x + y = y + x edited so that its
+    line is no line of the table: a point added, a point dropped, and zero
+    put in it."""
+    for T, x, y in ((hyper.field_quotient_table(3, 3), 1, 2),
+                    (hyper.field_quotient_table(4, 3), 2, 7)):
+        s = T.hyperadd[x][y]
+        line = s | 1 << x | 1 << y
+        off = next(v for v in range(1, T.n) if not line >> v & 1)
+        for edited in (s | 1 << off, s & (s - 1), s | 1 << T.zero):
+            E = hyper.HyperTable.from_json(T.to_json())
+            E.hyperadd[x][y] = E.hyperadd[y][x] = edited
+            yield E
+
+
+@pytest.mark.parametrize("T", [
+    *(hyper.k_algebra(Cyclic(n)) for n in (3, 4, 7, 63, 64, 65)),
+    *(hyper.field_quotient_table(q, m)
+      for q, m in ((3, 2), (3, 3), (4, 3), (5, 3), (3, 4), (8, 3))),
+    *_edited_line_tables()], ids=repr)
+def test_geometry_matches_the_per_pair_unpack(T):
+    assert hyper.is_k_vectorspace(T)
+    assert hyper.hyperfield_to_geometry(T).lines == \
+        _geometry_lines_per_pair(T)
 
 
 def _exhaustive_check_axioms(T):
