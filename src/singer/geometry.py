@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import DomainError, CapError, Certificate
 from . import gf
 from ._backend import line_pair_witness, coverage_witness
-from .groups import subgroup_generators
+from .groups import Cyclic, subgroup_generators
 
 POINT_CAP = 10 ** 5
 # The most point-line incidences, v(v - 1)/q, that PG(m, q) may have.  It
@@ -187,7 +187,15 @@ def plane_from_difference_set(G, S):
 
 
 def right_translation_action(G):
-    """Action of G on its own element indices by right multiplication."""
+    """Action of G on its own element indices by right multiplication,
+    defined for point indices 0 <= p < |G|."""
+    if G.order is None:
+        raise DomainError("finite groups only")
+    if isinstance(G, Cyclic):
+        # exact: a Cyclic group lists 0..v-1 in order and multiplies by
+        # (a + b) mod v, so index[G.mul(els[p], g)] is (p + g) mod v
+        v = G.order
+        return lambda g, p: (p + g) % v
     els = list(G.elements())
     index = {e: i for i, e in enumerate(els)}
 

@@ -41,6 +41,8 @@ class HyperTable:
         self.n = n
         self.zero = zero
         self.one = one
+        # the QuotientSpec that quotient_hyperring built it from, if any
+        self.quotient = None
         self.mul = _square(mul, n, "mul")
         for row in self.mul:
             for x in row:
@@ -492,6 +494,11 @@ def field_quotient_table(q, m):
     For q = 2 the unit group GF(2)^x is trivial, so the result is the field
     GF(2^m) itself: a hyperfield with singleton sums and x + x = {0}, not an
     extension of the two-element hyperfield K."""
+    return quotient_hyperring(field_quotient_spec(q, m))
+
+
+def field_quotient_spec(q, m):
+    """The `QuotientSpec` of `field_quotient_table(q, m)`."""
     p, a = gf.factor_prime_power(q)
     gf.check_field_size(p, a * m)
     # {0} and the (q^m - 1)/(q - 1) orbits of GF(q)^x: refused before the
@@ -505,7 +512,7 @@ def field_quotient_table(q, m):
         # GF(q)^x = <g^((q^m - 1)/(q - 1))>, read off the field's log tables
         _, exp, _ = gf.log_tables(F)
         gens = (exp[(F.q - 1) // (q - 1)],)
-    return quotient_hyperring(QuotientSpec(F, gens))
+    return QuotientSpec(F, gens)
 
 
 def contains_krasner(T):
@@ -666,7 +673,9 @@ def classify_extension(T, rep=None):
 
     GF(q^m)/GF(q)^x is PG(m - 1, q), with q + 1 points per line and
     (q^m - 1)/(q - 1) points.  An isomorphism maps lines to lines, so q and
-    m are read off T's geometry and only that one quotient is compared."""
+    m are read off T's geometry and only that one quotient is compared.
+    A table that `quotient_hyperring` built from that quotient's own spec
+    is that quotient, so it is answered without building it again."""
     if rep is None:
         rep = check_axioms(T)
     if not rep.passed():
@@ -682,8 +691,10 @@ def classify_extension(T, rep=None):
     q, m, size = len(gamma.lines[0]) - 1, 1, 1
     while size < T.n - 1:
         size, m = size * q + 1, m + 1
-    if (q > 1 and size == T.n - 1 and len(gf.prime_divisors(q)) == 1
-            and tables_isomorphic(T, field_quotient_table(q, m)) is not None):
-        return {"case": "field-quotient", "q": q, "m": m}
+    if q > 1 and size == T.n - 1 and len(gf.prime_divisors(q)) == 1:
+        Q = field_quotient_spec(q, m)
+        if (T.quotient == Q
+                or tables_isomorphic(T, quotient_hyperring(Q)) is not None):
+            return {"case": "field-quotient", "q": q, "m": m}
     cert = verify_plane(gamma)
     return {"case": "plane-other", "plane": cert.to_json()}

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from singer import cli
+from singer import cli, hyper
 
 
 def run(argv, capsys):
@@ -588,3 +588,16 @@ def test_repeated_point_in_a_hypersum_refused(tmp_path, capsys):
     code, out, err = run(["--verify-only", str(path)], capsys)
     assert code == 1 and out == ""
     assert err == "error: repeated point in hypersum [0, 1, 1]\n"
+
+
+def test_quotient_command_builds_the_table_once(capsys, monkeypatch):
+    """classify_extension answers `hyper quotient` from the table's own
+    QuotientSpec instead of building the quotient a second time."""
+    builds = []
+    build = hyper.quotient_hyperring
+    monkeypatch.setattr(hyper, "quotient_hyperring",
+                        lambda Q: builds.append(Q) or build(Q))
+    obj = payload(["hyper", "quotient", "--p", "5", "--ext", "3"], capsys)
+    assert obj["classification"] == {"case": "field-quotient", "q": 5,
+                                     "m": 3}
+    assert builds == [hyper.field_quotient_spec(5, 3)]

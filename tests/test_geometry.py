@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from singer.errors import CapError, DomainError
-from singer.groups import Abelian, Cyclic, Symmetric, subgroup_generators
+from singer.groups import (Abelian, Cyclic, FieldQuotient, Free, Integers,
+                           Symmetric, subgroup_generators)
 from singer import diffsets as ds
 from singer import geometry as geo
 from singer import gf
@@ -198,6 +199,34 @@ def test_singer_action_non_cyclic(G):
     # a moved line: some generator maps a line off the line set
     cert = _same_as_exhaustive(_moved_line(gamma, 1), G, act)
     assert not cert.ok and cert.detail["reason"] == "line not preserved"
+
+
+def test_cyclic_translation_is_the_generic_formula():
+    """The cyclic closure against index[G.mul(els[p], g)], the formula of
+    every other finite group, on every g and every point p."""
+    # PG(m, p^n) is FieldQuotient(p, n, m + 1): PG(2, 2), PG(2, 3),
+    # PG(3, 2) and PG(2, 4)
+    groups = [Cyclic(v) for v in range(1, 41)] + [
+        FieldQuotient(p, n, m + 1)
+        for p, n, m in ((2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2))]
+    assert [G.order for G in groups[40:]] == [7, 13, 15, 21]
+    for G in groups:
+        act = geo.right_translation_action(G)
+        els = list(G.elements())
+        index = {e: i for i, e in enumerate(els)}
+        for g in els:
+            assert [act(g, p) for p in range(G.order)] == [
+                index[G.mul(els[p], g)] for p in range(G.order)], (G, g)
+
+
+@pytest.mark.parametrize("G", [Integers(), Free(2)], ids=str)
+def test_right_translation_refuses_infinite_groups(G, monkeypatch):
+    def endless(self):
+        raise AssertionError("elements of an infinite group listed")
+
+    monkeypatch.setattr(type(G), "elements", endless)
+    with pytest.raises(DomainError, match="finite groups only"):
+        geo.right_translation_action(G)
 
 
 def _tampered(act, rows):

@@ -317,10 +317,24 @@ def _scan_classification(T):
 
 @pytest.mark.parametrize("q, m", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3),
                                   (7, 3), (8, 3), (9, 3)])
-def test_classification_matches_the_scan(q, m):
-    """q and m read off the geometry give the scan's answer."""
+def test_classification_matches_the_scan(q, m, monkeypatch):
+    """q and m read off the geometry give the scan's answer, on the built
+    table, which carries its QuotientSpec, and on its JSON copy, which
+    carries none and is compared with tables_isomorphic."""
     T = hyper.field_quotient_table(q, m)
-    assert hyper.classify_extension(T) == _scan_classification(T)
+    copy = hyper.HyperTable.from_json(json.loads(json.dumps(T.to_json())))
+    assert T.quotient == hyper.field_quotient_spec(q, m)
+    assert copy.quotient is None
+    scanned = _scan_classification(T)
+    assert _scan_classification(copy) == scanned
+    compared = []
+    isomorphic = hyper.tables_isomorphic
+    monkeypatch.setattr(hyper, "tables_isomorphic",
+                        lambda *a: compared.append(a[0]) or isomorphic(*a))
+    assert hyper.classify_extension(T) == scanned
+    assert compared == []
+    assert hyper.classify_extension(copy) == scanned
+    assert compared == [copy]
 
 
 def test_classification_matches_the_scan_off_the_quotients():
