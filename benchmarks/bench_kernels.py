@@ -3,9 +3,11 @@
 Run:  python3 benchmarks/bench_kernels.py [carrier_size]
 
 Times the cubic hyperaddition scans (associativity/distributivity) on a
-quotient table and a synthetic associative table, and the quadratic line
-scans on a projective plane; checks both backends return identical
-witnesses.
+quotient table and a synthetic associative table, and the line scans on
+the plane of order 9 and on that plane with one point of a line moved.  On
+the plane the pure-Python line-pair kernel accepts from the point stars;
+on the moved one it falls back to the pairwise scan, as the compiled one
+always does.  Checks that both backends return identical witnesses.
 """
 
 import os
@@ -68,6 +70,12 @@ def main():
     gamma = geometry.plane_from_difference_set(G, pds)
     bench_pair("line pairs (plane order 9)", "line_pair_witness",
                gamma.masks, 1, 1)
+    # line 0 with its least point moved to the least point off it
+    m0 = gamma.masks[0]
+    off = ~m0 & (m0 + 1)
+    moved = [m0 - (m0 & -m0) + off] + gamma.masks[1:]
+    bench_pair("line pairs (order 9, point moved)", "line_pair_witness",
+               moved, 1, 1)
     bench_pair("coverage (plane order 9)", "coverage_witness",
                gamma.npoints, gamma.masks)
 

@@ -4,10 +4,19 @@ when the compiled extension is not built.
 All set-valued data arrives as Python integer bitmasks.  The O(c^3)
 hyperaddition scans are the fallback of `hyper.check_axioms`, which runs
 them only on tables that fail an axiom or a precondition of its reductions
-to generators; the O(L^2) line-pair scans serve `verify_plane`.  The
-compiled twin in _kernels.c implements the same signatures on uint64
-words; singer._backend picks whichever is importable.
+to generators; the line scans serve `verify_plane`.  `line_pair_witness`
+first decides "every two lines meet once" from the point stars, in
+O(incidences) big-int ORs, and runs its O(L^2) pairwise scan only when
+that does not hold.  The compiled twin in _kernels.c implements the same
+signatures on uint64 words, with the pairwise scan alone; singer._backend
+picks whichever is importable.
 """
+
+
+from array import array
+from functools import reduce
+from itertools import accumulate, count
+from operator import add, or_
 
 
 def assoc_witness(n, add_rows):
@@ -57,9 +66,63 @@ def distrib_witness(n, add_rows, mul):
     return None
 
 
+def _points(mask):
+    """The set bits of a nonnegative mask, ascending, as an iterator.
+
+    Splitting the little-endian binary string at its ones leaves the runs
+    of zeros between them, so the t-th one sits at the summed lengths of
+    the first t + 1 runs plus t: a few C-level passes over the string
+    instead of one big-int step per bit."""
+    runs = format(mask, "b")[::-1].split("1")
+    runs.pop()
+    return map(add, accumulate(map(len, runs)), count())
+
+
+def lines_meet_once(line_masks):
+    """Whether every two of the lines meet in exactly one point, decided
+    from the point stars: star(p) is the mask of the lines through p.
+
+    For line i, the sum of |star(p)| over its points p counts each line j
+    once per common point, so it is |L_i| + sum over j != i of
+    |L_i & L_j|, and the union of those stars is the set of lines that
+    meet L_i.  When that union is all L lines, each of the L - 1 terms is
+    at least 1, and the sum is |L_i| + L - 1 exactly when each term is 1.
+    Every line is checked, so the answer is exhaustive; it costs
+    O(incidences) big-int ORs instead of L(L - 1)/2 ANDs.  The one input
+    it answers False without a bad pair is a single empty line."""
+    L = len(line_masks)
+    stars = [0] * max(line_masks, default=0).bit_length()
+    flat = array("I")   # the points of every line, line after line
+    ends = []
+    for j, mask in enumerate(line_masks):
+        start = len(flat)
+        flat.extend(_points(mask))
+        ends.append(len(flat))
+        bit = 1 << j
+        for p in flat[start:]:
+            stars[p] |= bit
+    degree = [star.bit_count() for star in stars]
+    every_line = (1 << L) - 1
+    start = 0
+    for end in ends:
+        points = flat[start:end]
+        if (sum(map(degree.__getitem__, points)) != end - start + L - 1
+                or reduce(or_, map(stars.__getitem__, points), 0)
+                != every_line):
+            return False
+        start = end
+    return True
+
+
 def line_pair_witness(line_masks, lo, hi):
     """First line pair (i, j, size) whose intersection size is outside
-    [lo, hi], or None."""
+    [lo, hi], or None.
+
+    When lo <= 1 <= hi and `lines_meet_once` holds, no pair is outside
+    and the answer is None.  Otherwise the pairs are scanned in order, so
+    the witness is the first pair whichever way the call went."""
+    if lo <= 1 <= hi and lines_meet_once(line_masks):
+        return None
     L = len(line_masks)
     for i in range(L):
         li = line_masks[i]
@@ -74,11 +137,8 @@ def coverage_witness(npoints, line_masks):
     """First point pair on no common line, or None."""
     reach = [0] * npoints
     for mask in line_masks:
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
+        for p in _points(mask):
             reach[p] |= mask
-            m &= m - 1
     full = (1 << npoints) - 1
     for p in range(npoints):
         missing = full & ~reach[p] & ~(1 << p)

@@ -35,6 +35,16 @@ class PartialDifferenceSet:
         if len(set(self.elements)) != len(self.elements):
             raise DomainError("repeated element in a difference set")
 
+    @classmethod
+    def _trusted(cls, group, elements, certified):
+        """The set without the checks of `__post_init__`, for a builder
+        that vouches for its elements; each call site says why."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "group", group)
+        object.__setattr__(S, "elements", elements)
+        object.__setattr__(S, "certified", certified)
+        return S
+
     def to_json(self):
         return {
             "group": self.group.spec_string(),
@@ -189,17 +199,20 @@ class Candidates:
 class BuilderState:
     """A certified set, the number of targets consumed and the step log.
 
-    `diffs` (the difference set of the chain's latest set) and `candidates`
-    (its live candidates) belong to the chain of states that `hughes_step`
-    hands them along; a state made without them gets fresh ones on its
-    first step.  The set of size k whose differences they hold, k(k - 1) of
-    them, is the chain's latest one, so a state owns them exactly when
-    len(diffs) == k(k - 1) for its own k (`DECISIONS.md`)."""
+    `diffs` (the difference set of the chain's latest set), `candidates`
+    (its live candidates) and `invs` (the inverses of its elements, in
+    order) belong to the chain of states that `hughes_step` hands them
+    along; a state made without them gets fresh ones on its first step.
+    The set of size k whose differences they hold, k(k - 1) of them, is
+    the chain's latest one, so a state owns them exactly when
+    len(diffs) == k(k - 1) for its own k, and owns `invs` exactly when
+    len(invs) == k (`DECISIONS.md`)."""
     current: PartialDifferenceSet
     targets_consumed: int = 0
     log: list = field(default_factory=list)
     diffs: set = field(default=None, repr=False, compare=False)
     candidates: Candidates = field(default=None, repr=False, compare=False)
+    invs: list = field(default=None, repr=False, compare=False)
 
     def log_json(self):
         return self.log
@@ -266,20 +279,21 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
         raise DomainError("builder state must carry a certified set")
     els = S.elements
     k = len(els)
-    diffs, cands = state.diffs, state.candidates
+    diffs, cands, invs = state.diffs, state.candidates, state.invs
     if diffs is None or len(diffs) != k * (k - 1):
         # the chain has moved past this state: start one of its own
         diffs, cands = differences(S), None
+    if invs is None or len(invs) != k:
+        invs = [G.inv(s) for s in els]
     if d in diffs:
         new_log = state.log + [{"target": G.canon(d), "chosen_x": None,
                                 "added": []}]
         return BuilderState(S, state.targets_consumed + 1, new_log, diffs,
-                            cands)
+                            cands, invs)
     if cands is None:
         cands = Candidates(G.elements())
 
     d_inv = G.inv(d)
-    invs = tuple(G.inv(s) for s in els)
     elset = set(els)
     within = f"no candidate for target {G.canon(d)} within {search_bound}"
     marked = []
@@ -296,7 +310,7 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
             if y in elset:
                 new_els = (x,)
             elif x != y and _new_differences(G, els + (x,),
-                                             invs + (G.inv(x),), diffs, y,
+                                             invs + [G.inv(x)], diffs, y,
                                              new):
                 new_els = (x, y)
             else:
@@ -320,16 +334,22 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
         # the group is abelian and d is not yet a difference
         conj = G.mul(G.mul(G.inv(x), d), x)
         assert conj == d, "abelian shortcut violated"
-    ext = PartialDifferenceSet(G, els + new_els, True)
+    # each element of els was validated when it joined the chain's set, and
+    # the scan drew x from G.elements() and formed y by G.mul, both outside
+    # elset and x != y: only the new elements are validated
+    for z in new_els:
+        G.validate(z)
+    ext = PartialDifferenceSet._trusted(G, els + new_els, True)
     assert d in new, "target must appear among the new differences"
     diffs |= new
+    invs.extend(map(G.inv, new_els))
     new_log = state.log + [{
         "target": G.canon(d),
         "chosen_x": G.canon(x),
         "added": [G.canon(z) for z in new_els],
     }]
     return BuilderState(ext, state.targets_consumed + 1, new_log, diffs,
-                        cands)
+                        cands, invs)
 
 
 def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):

@@ -2,12 +2,13 @@
 collineation fixed points.
 
 Incidence is stored as one bitmask of point indices per line; the axiom
-scans are pairwise bitmask intersections routed through the kernel
-backend (compiled when available)."""
+scans run on those masks in the kernel backend (compiled when available),
+whose pure-Python line-pair kernel decides a plane from its point stars."""
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DomainError, CapError, Certificate
 from . import gf
@@ -345,17 +346,20 @@ def verify_singer_action(gamma, G, action):
                for images in rows.values()):
         return _exhaustive_singer_action(gamma, G, action)
     index = {g: i for i, g in enumerate(els)}
-    # products[k][i] is the index of els[i] * T[k]
-    products = [[index[G.mul(g, t)] for g in els] for t in T]
-    point_set = set(points)
+    # each pick takes, from a column over els, the entries at els[i] * t
+    # for one generator t.  An itemgetter of one index returns a scalar,
+    # not a 1-tuple; both sides of the comparison below take that form
+    # alike.
+    picks = [(itemgetter(*[index[G.mul(g, t)] for g in els]), rows[t])
+             for t in T]
     for p in points:
         col = [action(g, p) for g in els]
         # |G| = v images that cover the points: free and transitive at p
-        if set(col) != point_set:
+        if sorted(col) != points:
             return _exhaustive_singer_action(gamma, G, action)
-        for t, prod in zip(T, products):
-            row = rows[t]
-            if [col[j] for j in prod] != [row[q] for q in col]:
+        at_col = itemgetter(*col)
+        for pick, row in picks:
+            if pick(col) != at_col(row):
                 return _exhaustive_singer_action(gamma, G, action)
     return Certificate(True, {"group_order": len(els), "points": npts})
 

@@ -252,6 +252,7 @@ def test_builder_caches_stay_with_their_state():
         again = ds.hughes_step(st, targets[i])
         assert again.log == states[i + 1].log
         assert again.diffs == ds.differences(again.current)
+        assert again.invs == [G.inv(s) for s in again.current.elements]
         for t in targets[i + 1:i + 6]:
             assert ds.hughes_step(st, t).log == naive_step(st, t).log
 
@@ -314,6 +315,32 @@ def test_no_op_sibling_after_the_chain_moved_on():
     assert moved.log == naive_step(head, d).log
     for t in targets[40:]:
         assert ds.hughes_step(sibling, t).log == naive_step(sibling, t).log
+
+
+@pytest.mark.parametrize("G", [Free(2), Integers()], ids=str)
+def test_extensions_validate_only_their_new_elements(G, monkeypatch):
+    # the identity, each target and each adjoined element are validated
+    # once; the k elements already in the set are not validated again
+    calls = []
+    plain = type(G).validate
+    monkeypatch.setattr(type(G), "validate",
+                        lambda self, a: calls.append(a) or plain(self, a))
+    st = ds.hughes_build(G, 40)
+    added = sum(len(entry["added"]) for entry in st.log)
+    assert added > 10
+    assert len(calls) == 1 + len(st.log) + added
+
+
+def test_chain_carries_the_inverses():
+    # every extending state holds the inverses of its set, in order, in
+    # the one list its chain hands along
+    G = Free(2)
+    states = build(ds.hughes_step, G, 40)
+    head = states[-1]
+    assert head.invs == [G.inv(s) for s in head.current.elements]
+    grown = [st for prev, st in zip(states, states[1:])
+             if st.current is not prev.current]
+    assert len(grown) > 10 and all(st.invs is head.invs for st in grown)
 
 
 def test_builder_draws_each_position_once(monkeypatch):

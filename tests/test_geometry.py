@@ -137,6 +137,10 @@ def test_singer_action_counterexamples():
     act3 = lambda g, p: (p + g) % 7
     c2 = _same_as_exhaustive(gamma, G3, act3)
     assert not c2.ok
+    # a group of the right order acting trivially: every row preserves the
+    # lines and composes, and only the columns show it is not free
+    c3 = _same_as_exhaustive(gamma, Cyclic(7), lambda g, p: p)
+    assert not c3.ok and c3.detail["reason"] == "not free"
 
 
 def _same_as_exhaustive(gamma, G, act):
@@ -199,6 +203,33 @@ def test_singer_action_non_cyclic(G):
     # a moved line: some generator maps a line off the line set
     cert = _same_as_exhaustive(_moved_line(gamma, 1), G, act)
     assert not cert.ok and cert.detail["reason"] == "line not preserved"
+
+
+def test_singer_action_checks_every_generator():
+    # with T = (t1, t2) and H = <t1>, pi(g) for g in 2 t2 + H is right
+    # translation by g followed by t1 on the points of H.  The rows of e,
+    # t1 and t2 are translations, every column stays regular, and
+    # pi(g t1) = pi(t1) o pi(g) holds for every g: only t2 shows the break
+    G = Abelian((3, 3))
+    gamma = _greedy_plane(G)
+    act = geo.right_translation_action(G)
+    els = list(G.elements())
+    t1, t2 = subgroup_generators(G.mul, G.identity, els)
+    H = [G.identity, t1, G.mul(t1, t1)]
+    coset = {G.mul(h, G.mul(t2, t2)) for h in H}
+    in_H = {els.index(h) for h in H}
+
+    def broken(g, p):
+        q = act(g, p)
+        return act(t1, q) if g in coset and p in in_H else q
+
+    cert = _same_as_exhaustive(gamma, G, broken)
+    assert not cert.ok and cert.detail["reason"] == "line not preserved"
+
+
+def test_singer_action_on_one_point():
+    gamma = geo.IncidenceStructure(1, [(0,)])
+    assert _same_as_exhaustive(gamma, Cyclic(1), lambda g, p: p).ok
 
 
 def test_cyclic_translation_is_the_generic_formula():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from singer import _kernels_py
-from singer import _backend
+from singer import _backend, diffsets, geometry
 
 
 def random_instance(n, seed, sparse=True):
@@ -63,14 +63,78 @@ LINE_CASES["count past one word"] = (
 LINE_CASES["partial last word"] = (100, [(1 << 99) - 1, 1 | 1 << 99])
 
 
+def _plane(gamma):
+    return gamma.npoints, list(gamma.masks)
+
+
+def _planes():
+    """Projective planes whose lines meet pairwise once: the Fano plane,
+    PG(2, 3) by coordinates, and the Singer developments of order 4 and 5."""
+    planes = {"fano": _plane(geometry.pg_space(2, 2)),
+              "pg(2,3)": _plane(geometry.pg_space(2, 3))}
+    for q in (4, 5):
+        G, S = diffsets.classical_singer(q, 2)
+        planes[f"singer q={q}"] = _plane(
+            geometry.plane_from_difference_set(G, S))
+    return planes
+
+
+def _mutations(npts, masks):
+    """Near-planes: line 0 with its least point moved off it, the last
+    line dropped, a middle line repeated, and an empty line appended."""
+    first = masks[0] & -masks[0]
+    off = next(1 << p for p in range(npts) if not masks[0] >> p & 1)
+    mid = len(masks) // 2
+    return {"point moved": [masks[0] - first + off] + masks[1:],
+            "line dropped": masks[:-1],
+            "line repeated": masks[:mid + 1] + masks[mid:],
+            "empty line": masks + [0]}
+
+
+# every line's intersections with the others add up to L - 1 = 3, as 2 + 1
+# + 0: the sizes alone cannot tell it from a plane, the union of stars can
+LINE_CASES["sizes balance"] = (6, [0b010011, 0b100011, 0b011100, 0b101100])
+
+PLANES = _planes()
+for name, (npts, masks) in PLANES.items():
+    LINE_CASES[name] = (npts, masks)
+    for kind, bad in _mutations(npts, masks).items():
+        LINE_CASES[f"{name}, {kind}"] = (npts, bad)
+
+
 @pytest.mark.parametrize("case", LINE_CASES)
 def test_line_scan_parity(compiled, case):
     npts, masks = LINE_CASES[case]
-    for lo, hi in [(1, 1), (0, 1), (0, 2)]:
+    for lo, hi in [(1, 1), (0, 1), (0, 2), (0, 0), (2, 2)]:
         assert compiled.line_pair_witness(masks, lo, hi) == \
             _kernels_py.line_pair_witness(masks, lo, hi)
     assert compiled.coverage_witness(npts, masks) == \
         _kernels_py.coverage_witness(npts, masks)
+
+
+@pytest.mark.parametrize("name", PLANES)
+def test_stars_decide_the_planes(name):
+    npts, masks = PLANES[name]
+    assert _kernels_py.lines_meet_once(masks)
+    # 1 is outside [2, 2]: the pairwise scan runs and finds the first pair
+    assert _kernels_py.line_pair_witness(masks, 2, 2) == (0, 1, 1)
+    for kind, bad in _mutations(npts, masks).items():
+        # the lines left after one is dropped still meet pairwise once
+        assert _kernels_py.lines_meet_once(bad) is (kind == "line dropped")
+
+
+def test_stars_need_every_line_met():
+    npts, masks = LINE_CASES["sizes balance"]
+    assert not _kernels_py.lines_meet_once(masks)
+    assert _kernels_py.line_pair_witness(masks, 1, 1) == (0, 1, 2)
+
+
+def test_points_match_the_bit_loop():
+    masks = [0, 1, 2, 1 << 63, 1 << 64, (1 << 64) - 1, 1 << 64 | 1 << 65,
+             (1 << 130) - 1 - (1 << 64), 0b1011 << 200]
+    for mask in masks:
+        assert list(_kernels_py._points(mask)) == [
+            p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def test_backend_selected():
