@@ -4,23 +4,29 @@ and the correspondence with projective point-line geometries.
 
 Hyperaddition tables are stored as bitmask-valued matrices.  The axioms
 are proved from generators of the units; the cubic scans of the kernel
-backend run only when that proof does not apply or finds a failure.  The
-checks of that proof, reversibility and the table maps of the isomorphism
-test run on packed rows, one integer per row of the table, without
-unpacking any sum point by point.  Carriers are capped at 256.  The JSON
-codec and the geometry unpack each distinct mask once, one run of set
-bits at a time, and `from_json` packs each cell in one pass."""
+backend run only when that proof does not apply or finds a failure.
+Reversibility follows from the other axioms when the product commutes.
+The checks of that proof, the fallback check of reversibility and the
+table maps of the isomorphism test run on packed rows, one integer per row
+of the table, without unpacking any sum point by point.  Carriers are
+capped at 256.  The JSON codec and the geometry unpack each distinct mask
+once, one run of set bits at a time, and `from_json` packs each cell in
+one pass."""
 
+import operator
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .errors import DomainError, CapError
+from .errors import DomainError, CapError, BoundedFailure
 from . import gf
 from .groups import closure, cyclic_generator, subgroup_generators
 from ._backend import assoc_witness, distrib_witness
 from .geometry import IncidenceStructure, verify_plane
 
 CARRIER_CAP = 256
+# additions of a ring element and an orbit element that quotient_hyperring
+# may make, about 2 s on pure Python
+ORBIT_SUM_BUDGET = 1 << 21
 _INDICES = list(range(CARRIER_CAP))     # the carrier indices, sliced by _bits
 
 
@@ -151,10 +157,13 @@ def check_axioms(T):
     units, the three cubic ones (the monoid law, distributivity and the
     associativity of hyperaddition) are proved from those generators in
     O(n^2 |gens|) steps; `DECISIONS.md`, "Hyperfield axioms from
-    generators", has the argument.  Those checks and reversibility compare
-    packed rows of the table (`_Packed`).  If a precondition fails, or a
-    reduced or packed check finds a failure, the exhaustive scan runs and
-    reports its witness."""
+    generators", has the argument.  Those checks compare packed rows of
+    the table (`_Packed`).  Reversibility comes last: when the other eight
+    axioms hold and the product is commutative, they imply it
+    (`DECISIONS.md`, "Hyperfield axioms in packed rows"); otherwise its
+    packed check runs.  If a precondition fails, or a reduced or packed
+    check finds a failure, the exhaustive scan runs and reports its
+    witness."""
     n, z, o = T.n, T.zero, T.one
     add, mul = T.hyperadd, T.mul
     res, wit = {}, {}
@@ -173,11 +182,6 @@ def check_axioms(T):
     record("unique-negative", next(
         ((x, tuple(ns)) for x, ns in enumerate(negs) if len(ns) != 1), None))
     packed = _Packed(add)
-    # reversibility: x in y + w  =>  w in x + (-y); a failure is scanned
-    # for its first witness
-    record("reversibility", None if packed.reversible(negs) else next(
-        (x, y, w) for y in range(n) if negs[y] for w in range(n)
-        for x in _bits(add[y][w]) if not add[x][negs[y][0]] >> w & 1))
     res["zero-one-distinct"] = z != o
     nonzero = [x for x in range(n) if x != z]
     record("multiplicative-group", next(
@@ -217,6 +221,16 @@ def check_axioms(T):
         res["associativity"] = True
     else:
         record("associativity", assoc_witness(n, add))
+
+    # reversibility: x in y + w  =>  w in x + (-y).  The eight axioms above
+    # and a commutative product imply it; otherwise the packed check runs,
+    # and a failure is scanned for its first witness
+    if all(res.values()) and mul == [list(c) for c in zip(*mul)]:
+        res["reversibility"] = True
+    else:
+        record("reversibility", None if packed.reversible(negs) else next(
+            (x, y, w) for y in range(n) if negs[y] for w in range(n)
+            for x in _bits(add[y][w]) if not add[x][negs[y][0]] >> w & 1))
 
     return AxiomReport({a: res[a] for a in AxiomReport.AXIOMS},
                        {a: wit[a] for a in AxiomReport.AXIOMS if a in wit})
@@ -288,7 +302,8 @@ class _Packed:
 
     def reversible(self, negs):
         """Whether x in y + w implies w in x + (-y), for every y with a
-        negative: row y against the transpose of column -y."""
+        negative: row y against the transpose of column -y.  `check_axioms`
+        calls it only when the other axioms do not imply reversibility."""
         return not any(
             self.rows[y] & ~self.transpose([r[ns[0]] for r in self.add])
             for y, ns in enumerate(negs) if ns)
@@ -413,7 +428,9 @@ class QuotientSpec:
     def __post_init__(self):
         # ring_add and ring_mul are the ring's own operations, chosen once
         if isinstance(self.ring, gf.GF):
-            add, mul = self.ring.add, self.ring.mul
+            # in characteristic 2 the sum of two codes is their XOR
+            add = operator.xor if self.ring.p == 2 else self.ring.add
+            mul = self.ring.mul
         else:
             m = self.ring[1]
             add, mul = (lambda a, b: (a + b) % m), (lambda a, b: (a * b) % m)
@@ -452,12 +469,22 @@ def quotient_hyperring(Q):
     For a unit g, xg + yh = g(x + y hg^-1) lies in the orbit of
     x + y hg^-1, and hg^-1 runs over G with h, so
     xG + yG = {(x + w)G : w in yG}: one orbit of additions per sum.  Both
-    ring kinds are commutative, so each pair x <= y is computed once."""
+    ring kinds are commutative, so each pair x <= y is computed once.
+
+    Orbit i, in the order of least elements, is added to orbits 0..i, so
+    the table takes sum_i (i + 1)|O_i| ring additions.  The carrier cap
+    and the budget on that count come before the unit group's closure,
+    whose first product loads a field's log tables."""
     elements = Q.ring_elements()
     add, mul = Q.ring_add, Q.ring_mul
+    order = Q.unit_order()
     # an orbit has at most |G| elements, so there are at least |R|/|G|
-    if -(-len(elements) // Q.unit_order()) > CARRIER_CAP:
+    if -(-len(elements) // order) > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
+    if _orbit_sums(len(elements), order) > ORBIT_SUM_BUDGET:
+        raise BoundedFailure(f"the quotient by a unit group of order "
+                             f"{order} needs more than {ORBIT_SUM_BUDGET} "
+                             f"orbit sums")
     G = Q.unit_group()
     orbit_of = {}
     orbits = []
@@ -486,6 +513,17 @@ def quotient_hyperring(Q):
     T = HyperTable(labels, orbit_of[0], orbit_of[1], prod, hyperadd)
     T.quotient = Q
     return T
+
+
+def _orbit_sums(size, order):
+    """The ring additions of `quotient_hyperring` on a ring of `size`
+    elements and a unit group of `order`, when every nonzero orbit has
+    `order` elements, as in a field: orbit 0 is {0}, and orbit i >= 1 is
+    added i + 1 times.  Smaller orbits only make more orbits, at higher
+    indices, so for any ring this is a lower bound."""
+    full, rest = divmod(size - 1, order)
+    return (1 + order * ((full + 1) * (full + 2) // 2 - 1)
+            + rest * (full + 2))
 
 
 def field_quotient_table(q, m):
@@ -603,12 +641,18 @@ def roundtrip_table(T):
 def tables_equal(T1, T2):
     """Structural equality under the identity carrier correspondence
     (T2's carrier may be a reordering placing zero first)."""
+    if T1.n != T2.n:
+        return False
+    if T1.zero == 0:
+        # the correspondence is the identity, and a table's masks are
+        # below 2^n, so equal cells are equal sets
+        return T1.mul == T2.mul and T1.hyperadd == T2.hyperadd
     old = [T1.zero] + [x for x in range(T1.n) if x != T1.zero]
     # old[i] in T1 corresponds to index i in T2
     phi = [0] * T1.n
     for i, x in enumerate(old):
         phi[x] = i
-    return T1.n == T2.n and _maps_onto(_Packed(T1.hyperadd), T1, T2, phi)
+    return _maps_onto(_Packed(T1.hyperadd), T1, T2, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
-from singer.groups import Cyclic, Abelian
-from singer import hyper
+from singer.groups import Cyclic, Abelian, Symmetric
+from singer import cli, hyper
 from singer._backend import assoc_witness, distrib_witness
 from singer import gf
 from singer import geometry as geo
@@ -210,10 +210,7 @@ def _quotient_reference(Q):
     order of their least element, xG * yG = xyG and
     xG + yG = {(xg + yh)G : g, h in G}."""
     G = Q.unit_group()
-    orbits = []
-    for x in Q.ring_elements():
-        if not any(x in orb for orb in orbits):
-            orbits.append(sorted({Q.ring_mul(x, g) for g in G}))
+    orbits = _quotient_orbits(Q)
     orbit_of = {y: i for i, orb in enumerate(orbits) for y in orb}
     mul = [[orbit_of[Q.ring_mul(a[0], b[0])] for b in orbits]
            for a in orbits]
@@ -223,6 +220,16 @@ def _quotient_reference(Q):
                  for b in orbits] for a in orbits]
     labels = ["{" + ",".join(map(str, orb)) + "}" for orb in orbits]
     return labels, orbit_of[0], orbit_of[1], mul, hyperadd
+
+
+def _quotient_orbits(Q):
+    """The orbits xG, sorted, in the order of their least element."""
+    G = Q.unit_group()
+    orbits = []
+    for x in Q.ring_elements():
+        if not any(x in orb for orb in orbits):
+            orbits.append(sorted({Q.ring_mul(x, g) for g in G}))
+    return orbits
 
 
 def _quotient_specs():
@@ -262,6 +269,40 @@ def test_generator_refusals_build_no_tables(monkeypatch):
                                ((-1,), DomainError, "not an element")):
         with pytest.raises(error, match=match):
             hyper.quotient_hyperring(hyper.QuotientSpec(F, gens))
+
+
+@pytest.mark.parametrize("argv", [
+    "hyper quotient --p 2 --ext 20 --generators 3",   # 42 orbits, |G| 25575
+    "hyper quotient --p 4 --ext 10 --generators 5",
+])
+def test_orbit_sum_budget_refuses_before_the_tables(argv, capsys,
+                                                    monkeypatch):
+    """Both pass the carrier cap and would take about 23M orbit sums; the
+    budget refuses them from |R| and the unit order alone."""
+    def no_tables(F):
+        raise AssertionError(f"log tables of {F!r} built")
+    monkeypatch.setattr(gf, "log_tables", no_tables)
+    start = time.perf_counter()
+    code = cli.main(argv.split())
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("bounded failure:") and err.count("\n") == 1, err
+
+
+def test_orbit_sum_count_is_exact_on_fields():
+    """_orbit_sums against the additions the table takes, sum of (i + 1)
+    |O_i| over the orbits; a lower bound on Z/m, and well inside the
+    budget for the round8 quotient."""
+    for Q in _quotient_specs():
+        sizes = [len(orb) for orb in _quotient_orbits(Q)]
+        made = sum((i + 1) * k for i, k in enumerate(sizes))
+        bound = hyper._orbit_sums(len(Q.ring_elements()), Q.unit_order())
+        if isinstance(Q.ring, gf.GF):
+            assert bound == made, Q
+        else:
+            assert bound <= made, Q
+    assert hyper._orbit_sums(8 ** 3, 7) < hyper.ORBIT_SUM_BUDGET // 100
 
 
 def test_quotient_sums_from_one_orbit():
@@ -598,6 +639,42 @@ def test_passing_tables_skip_the_cubic_scans(monkeypatch):
         assert hyper.check_axioms(T).passed()
 
 
+def test_passing_tables_skip_the_reversibility_check(monkeypatch):
+    """The other eight axioms and a commutative product imply
+    reversibility, so no passing table the constructors build reaches
+    the packed check."""
+    def packed(*args):
+        raise AssertionError("packed reversibility on a passing table")
+
+    monkeypatch.setattr(hyper._Packed, "reversible", packed)
+    T = hyper.field_quotient_table(8, 3)
+    for table in (T, hyper.roundtrip_table(T), hyper.k_algebra(Cyclic(30)),
+                  *(_boundary_table(*case) for case in _WORD_BOUNDARY)):
+        assert hyper.check_axioms(table).passed()
+
+
+def test_non_commutative_hyperfield_runs_the_reversibility_check(
+        monkeypatch):
+    """The single-line table on S_3 is a hyperfield whose product is not
+    commutative: the packed check runs once, and the report is the
+    exhaustive one."""
+    G = Symmetric(3)
+    els = list(G.elements())
+    T = hyper._line_table(els, G.mul, G.identity, list(map(G.canon, els)),
+                          [range(len(els))])
+    assert T.mul != [list(c) for c in zip(*T.mul)]
+    calls = []
+    reversible = hyper._Packed.reversible
+
+    def counted(self, negs):
+        calls.append(negs)
+        return reversible(self, negs)
+
+    monkeypatch.setattr(hyper._Packed, "reversible", counted)
+    assert _assert_same_report(T).passed()
+    assert len(calls) == 1
+
+
 @pytest.fixture
 def compiled_scans(compiled, monkeypatch):
     """The cubic scans of check_axioms and of the exhaustive reference,
@@ -735,11 +812,22 @@ def test_packed_axioms_match_exhaustive_on_relabeled_carriers():
         _assert_same_report(_relabeled(T, pi))
 
 
+def _equal_reference(T1, T2):
+    """tables_equal by its definition: T1's zero corresponds to 0 of T2,
+    and T1's other points, in order, to 1, 2, ..."""
+    old = [T1.zero] + [x for x in range(T1.n) if x != T1.zero]
+    return T1.n == T2.n and _table_map_reference(
+        T1, T2, [old.index(x) for x in range(T1.n)])
+
+
 def test_table_maps_match_the_per_point_check(monkeypatch):
     """Every map that tables_equal and tables_isomorphic test gets the
-    answer of the per-point check: the roundtrip table, a quotient and a
-    relabeled copy, the copy with one cell changed, and a relabeling that
-    fixes 0 and 1 but is no isomorphism."""
+    answer of the per-point check, and so does tables_equal itself: the
+    roundtrip table against a quotient with zero at 0 and against a copy
+    with zero at 5 (the identity and a shifting correspondence), each
+    with one sum or one product changed; a quotient and a relabeled copy,
+    the copy with one cell changed, and a relabeling that fixes 0 and 1
+    but is no isomorphism."""
     answers = []
     packed_check = hyper._maps_onto
 
@@ -751,9 +839,25 @@ def test_table_maps_match_the_per_point_check(monkeypatch):
     monkeypatch.setattr(hyper, "_maps_onto", checked)
     T = hyper.field_quotient_table(3, 3)
     back = hyper.roundtrip_table(T)
-    assert hyper.tables_equal(T, back)
-    back.hyperadd[2][3] &= back.hyperadd[2][3] - 1
-    assert not hyper.tables_equal(T, back)
+    # zero to 5, and the points before it one down: the correspondence of
+    # tables_equal undoes the move
+    k = 5
+    moved = _relabeled(T, [k] + list(range(k)) + list(range(k + 1, T.n)))
+    equal = []
+    for T1 in (T, moved):
+        x, y = T.n - 2, T.n - 1
+        assert T1.hyperadd[x][y].bit_count() > 1
+        for cell in (None, "sum", "product"):
+            edited = _copy(T1)
+            if cell == "sum":
+                edited.hyperadd[x][y] &= edited.hyperadd[x][y] - 1
+            elif cell == "product":
+                edited.mul[x][y] = edited.mul[x][y] % (T.n - 1) + 1
+            for pair in ((edited, back), (back, edited)):
+                equal.append(hyper.tables_equal(*pair))
+                assert equal[-1] == _equal_reference(*pair), (cell, pair)
+    assert equal[:2] == [True, True] and equal[6:8] == [True, False]
+    assert equal.count(True) == 3
 
     Q = hyper.field_quotient_table(4, 3)
     pi = [0, 1] + list(range(Q.n - 1, 1, -1))
@@ -785,3 +889,13 @@ def test_check_axioms_time_gate():
     start = time.perf_counter()
     assert hyper.check_axioms(T).passed()
     assert time.perf_counter() - start < 2.0
+
+
+def test_check_axioms_time_gate_at_the_carrier_cap():
+    """n = 256, the carrier cap: 1.0-1.6 s with reversibility implied by
+    the other axioms, and 2.3-4.4 s when the packed check ran, on 2
+    vCPUs."""
+    T = hyper.k_algebra(Cyclic(255))
+    start = time.perf_counter()
+    assert hyper.check_axioms(T).passed()
+    assert time.perf_counter() - start < 3.0
