@@ -14,7 +14,6 @@ asserted along the way.
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, BoundedFailure, Certificate
 from .groups import parse_group, has_involution, FieldQuotient
@@ -23,26 +22,20 @@ from . import gf
 DEFAULT_SEARCH_BOUND = 10 ** 5
 
 
-@dataclass(frozen=True)
 class PartialDifferenceSet:
-    group: object
-    elements: tuple
-    certified: bool = False
-
-    def __post_init__(self):
-        for a in self.elements:
-            self.group.validate(a)
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, group, elements, certified=False):
+        for a in elements:
+            group.validate(a)
+        if len(set(elements)) != len(elements):
             raise DomainError("repeated element in a difference set")
+        self.group, self.elements, self.certified = group, elements, certified
 
     @classmethod
     def _trusted(cls, group, elements, certified):
-        """The set without the checks of `__post_init__`, for a builder
-        that vouches for its elements; each call site says why."""
+        """The set without the checks of `__init__`, for a builder that
+        vouches for its elements; each call site says why."""
         S = object.__new__(cls)
-        object.__setattr__(S, "group", group)
-        object.__setattr__(S, "elements", elements)
-        object.__setattr__(S, "certified", certified)
+        S.group, S.elements, S.certified = group, elements, certified
         return S
 
     def to_json(self):
@@ -195,7 +188,6 @@ class Candidates:
             yield i, x
 
 
-@dataclass
 class BuilderState:
     """A certified set, the number of targets consumed and the step log.
 
@@ -207,12 +199,12 @@ class BuilderState:
     the chain's latest one, so a state owns them exactly when
     len(diffs) == k(k - 1) for its own k, and owns `invs` exactly when
     len(invs) == k (`DECISIONS.md`)."""
-    current: PartialDifferenceSet
-    targets_consumed: int = 0
-    log: list = field(default_factory=list)
-    diffs: set = field(default=None, repr=False, compare=False)
-    candidates: Candidates = field(default=None, repr=False, compare=False)
-    invs: list = field(default=None, repr=False, compare=False)
+
+    def __init__(self, current, targets_consumed=0, log=None, diffs=None,
+                 candidates=None, invs=None):
+        self.current, self.targets_consumed = current, targets_consumed
+        self.log = [] if log is None else log
+        self.diffs, self.candidates, self.invs = diffs, candidates, invs
 
     def log_json(self):
         return self.log
@@ -381,7 +373,8 @@ def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
         raise BoundedFailure("group exhausted before target count")
     # the certificates build their own differences of the set, so the
     # chain's k(k - 1) of them are let go before they run
-    return replace(state, diffs=None)
+    return BuilderState(state.current, state.targets_consumed, state.log,
+                        None, state.candidates, state.invs)
 
 
 def replay_chain(state):

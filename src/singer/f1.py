@@ -8,7 +8,6 @@ cyclic of order n.  Embeddings between levels i | j realize the directed
 system whose limit acts on the union of all levels."""
 
 import itertools
-from dataclasses import dataclass, field
 from math import factorial
 
 from .errors import DomainError, CapError, Certificate
@@ -38,13 +37,13 @@ class F1Space:
         return f"<f1 space m={self.m} n={self.n}>"
 
 
-@dataclass
 class ActionGroup:
     """A set of monomial automorphisms acting on an F1Space."""
-    space: F1Space
-    elements: list
-    construction: str
-    meta: dict = field(default_factory=dict)
+
+    def __init__(self, space, elements, construction, meta=None):
+        self.space, self.elements = space, elements
+        self.construction = construction
+        self.meta = {} if meta is None else meta
 
     @property
     def order(self):
@@ -230,10 +229,10 @@ def singer_general(S, n=None):
 # ---------------------------------------------------------------------------
 # embeddings and the directed system
 
-@dataclass
 class EmbeddingCertificate(Certificate):
-    group_map: dict = None
-    point_map: dict = None
+    def __init__(self, ok, detail=None, group_map=None, point_map=None):
+        super().__init__(ok, detail)
+        self.group_map, self.point_map = group_map, point_map
 
 
 def embed_singer(m, i, j, S=None):

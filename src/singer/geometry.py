@@ -6,7 +6,6 @@ scans run on those masks in the kernel backend (compiled when available),
 whose pure-Python line-pair kernel decides a plane from its point stars."""
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -81,12 +80,10 @@ class IncidenceStructure:
         return f"<incidence {self.npoints}p/{self.nlines}l>"
 
 
-@dataclass
 class PlaneCertificate:
-    ok: bool
-    order: int | None
-    checks: dict
-    counterexample: dict | None = None
+    def __init__(self, ok, order, checks, counterexample=None):
+        self.ok, self.order, self.checks = ok, order, checks
+        self.counterexample = counterexample
 
     def __bool__(self):
         return self.ok

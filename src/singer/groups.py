@@ -15,10 +15,11 @@ element.
 """
 
 import itertools
-import string
 
 from .errors import DomainError, CapError
 from .gf import is_prime, check_field_size
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"    # the generator names of Free(k)
 
 
 class GroupHandle:
@@ -290,7 +291,7 @@ class Free(GroupHandle):
             return "e"
         parts = []
         for c in a:
-            name = string.ascii_lowercase[c // 2]
+            name = _LETTERS[c // 2]
             parts.append(name if c % 2 == 0 else name + "^-1")
         return "*".join(parts)
 
@@ -304,7 +305,7 @@ class Free(GroupHandle):
                 name, off = part[:-3], 1
             else:
                 name, off = part, 0
-            k = string.ascii_lowercase.index(name)
+            k = _LETTERS.index(name)
             word.append(2 * k + off)
         w = tuple(word)
         self.validate(w)

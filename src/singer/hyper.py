@@ -14,7 +14,6 @@ once, one run of set bits at a time, and `from_json` packs each cell in
 one pass."""
 
 import operator
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import DomainError, CapError, BoundedFailure
@@ -25,7 +24,8 @@ from .geometry import IncidenceStructure, verify_plane
 
 CARRIER_CAP = 256
 # additions of a ring element and an orbit element that quotient_hyperring
-# may make, about 2 s on pure Python
+# may make.  The unit group's closure and the orbits add |G| + |R| products,
+# so GF(2^20) by its whole unit group, the largest accepted, takes about 5 s
 ORBIT_SUM_BUDGET = 1 << 21
 _INDICES = list(range(CARRIER_CAP))     # the carrier indices, sliced by _bits
 
@@ -123,10 +123,10 @@ def _square(rows, n, name):
     return [list(r) for r in rows]
 
 
-@dataclass
 class AxiomReport:
-    results: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, results=None, witnesses=None):
+        self.results = {} if results is None else results
+        self.witnesses = {} if witnesses is None else witnesses
 
     AXIOMS = (
         "commutativity",
@@ -413,29 +413,33 @@ def k_algebra(G):
                        [range(len(els))])
 
 
-@dataclass(frozen=True)
 class QuotientSpec:
-    """Finite ring (GF(p^n) or Z/mZ) with a unit subgroup given by
+    """Finite ring, a gf.GF or ("zmod", m), with a unit subgroup given by
     generators (ring element codes)."""
-    ring: object           # gf.GF or ("zmod", m)
-    generators: tuple
+
+    def __init__(self, ring, generators):
+        self.ring, self.generators = ring, generators
+        # ring_add and ring_mul are the ring's own operations, chosen once
+        if isinstance(ring, gf.GF):
+            # in characteristic 2 the sum of two codes is their XOR
+            self.ring_add = operator.xor if ring.p == 2 else ring.add
+            self.ring_mul = ring.mul
+        else:
+            m = ring[1]
+            self.ring_add = lambda a, b: (a + b) % m
+            self.ring_mul = lambda a, b: (a * b) % m
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ring == other.ring
+                and self.generators == other.generators)
+
+    def __hash__(self):
+        return hash((self.ring, self.generators))
 
     def ring_elements(self):
         if isinstance(self.ring, gf.GF):
             return range(self.ring.q)
         return range(self.ring[1])
-
-    def __post_init__(self):
-        # ring_add and ring_mul are the ring's own operations, chosen once
-        if isinstance(self.ring, gf.GF):
-            # in characteristic 2 the sum of two codes is their XOR
-            add = operator.xor if self.ring.p == 2 else self.ring.add
-            mul = self.ring.mul
-        else:
-            m = self.ring[1]
-            add, mul = (lambda a, b: (a + b) % m), (lambda a, b: (a * b) % m)
-        object.__setattr__(self, "ring_add", add)
-        object.__setattr__(self, "ring_mul", mul)
 
     def _units(self):
         """The generators, each checked to be a unit of the ring."""
@@ -474,7 +478,8 @@ def quotient_hyperring(Q):
     Orbit i, in the order of least elements, is added to orbits 0..i, so
     the table takes sum_i (i + 1)|O_i| ring additions.  The carrier cap
     and the budget on that count come before the unit group's closure,
-    whose first product loads a field's log tables."""
+    whose first product loads a field's log tables.  The budget leaves out
+    the |G| + |R| products of the closure and orbits (`ORBIT_SUM_BUDGET`)."""
     elements = Q.ring_elements()
     add, mul = Q.ring_add, Q.ring_mul
     order = Q.unit_order()
@@ -570,15 +575,16 @@ def contains_krasner(T):
 
 
 def subfield_test(Q):
-    """Whether {0} union the unit subgroup is a subfield of the ring."""
-    G = Q.unit_group()
-    S = {0} | set(G)
+    """Whether {0} union the unit subgroup G is a subfield of the ring.
+
+    GF(q)^x is cyclic: its one subgroup of order p^d - 1 is GF(p^d)^x when
+    d | n, and p^d - 1 divides q - 1 only then.  So {0} u G is a subfield
+    exactly when |G| + 1 (at most q) divides q.  Z/m is scanned by pairs."""
+    if isinstance(Q.ring, gf.GF):
+        return Q.ring.q % (Q.unit_order() + 1) == 0
+    S = {0} | set(Q.unit_group())
     add, mul = Q.ring_add, Q.ring_mul
-    for a in S:
-        for b in S:
-            if add(a, b) not in S or mul(a, b) not in S:
-                return False
-    return True
+    return all(add(a, b) in S and mul(a, b) in S for a in S for b in S)
 
 
 def is_k_vectorspace(T):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -601,3 +605,17 @@ def test_quotient_command_builds_the_table_once(capsys, monkeypatch):
     assert obj["classification"] == {"case": "field-quotient", "q": 5,
                                      "m": 3}
     assert builds == [hyper.field_quotient_spec(5, 3)]
+
+
+def test_import_loads_only_what_the_commands_run():
+    """Every command pays for `import singer.cli` in a fresh interpreter,
+    so the import must not load dataclasses (which loads inspect) or
+    string, which no command needs."""
+    probe = ("import sys; before = set(sys.modules); import singer.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "singer.cli" in loaded
+    assert not {"dataclasses", "inspect", "string"} & set(loaded), loaded

@@ -139,13 +139,33 @@ def test_contains_krasner_vs_subfield():
     squares = hyper.QuotientSpec(F9, (F9.mul(g, g),))
     assert not hyper.subfield_test(squares)
     assert not hyper.contains_krasner(hyper.quotient_hyperring(squares))
-    # agreement over every cyclic unit subgroup of F16
-    F16 = gf.GF(2, 4)
-    h = F16.primitive_element()
-    for d in (1, 3, 5, 15):
-        Q = hyper.QuotientSpec(F16, (F16.pow(h, 15 // d),))
-        assert hyper.contains_krasner(hyper.quotient_hyperring(Q)) \
-            == hyper.subfield_test(Q)
+    # agreement with the scan of all pairs over every nonzero single
+    # generator, so over every cyclic unit subgroup, of small fields
+    for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+        F = gf.GF(p, n)
+        for g in range(1, F.q):
+            Q = hyper.QuotientSpec(F, (g,))
+            assert hyper.subfield_test(Q) == _subfield_scan(Q) \
+                == hyper.contains_krasner(hyper.quotient_hyperring(Q)), (F, g)
+
+
+def _subfield_scan(Q):
+    """Whether {0} u G is closed under the ring's sum and product."""
+    S = {0} | set(Q.unit_group())
+    return all(Q.ring_add(a, b) in S and Q.ring_mul(a, b) in S
+               for a in S for b in S)
+
+
+def test_subfield_test_time_gate_on_the_full_unit_group(monkeypatch):
+    """(3, 2) generates all of GF(2^20)^x: the answer comes from the unit
+    order, without the closure or the log tables."""
+    def no_tables(F):
+        raise AssertionError(f"log tables of {F!r} built")
+    monkeypatch.setattr(gf, "log_tables", no_tables)
+    start = time.perf_counter()
+    Q = hyper.QuotientSpec(gf.GF(2, 20), (3, 2))
+    assert hyper.subfield_test(Q)
+    assert time.perf_counter() - start < 1
 
 
 def test_zmod_quotient():
