@@ -3,7 +3,6 @@ difference sets, a greedy builder for general groups, hyperfield algebra
 with its geometry correspondence, and monomial regular actions on fibered
 point sets."""
 
-from ._backend import BACKEND
 from .errors import SingerError, DomainError, CapError, BoundedFailure
 from .groups import (GroupHandle, Cyclic, FieldQuotient, Abelian, Integers,
                      Free, Symmetric, Monomial, parse_group, has_involution)

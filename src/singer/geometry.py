@@ -2,8 +2,8 @@
 collineation fixed points.
 
 Incidence is stored as one bitmask of point indices per line; the axiom
-scans run on those masks in the kernel backend (compiled when available),
-whose pure-Python line-pair kernel decides a plane from its point stars."""
+scans run on those masks in `_backend`, whose line-pair kernel decides a
+plane from its point stars."""
 
 import itertools
 from fractions import Fraction

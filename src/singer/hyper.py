@@ -3,12 +3,12 @@
 and the correspondence with projective point-line geometries.
 
 Hyperaddition tables are stored as bitmask-valued matrices.  The axioms
-are proved from generators of the units; the cubic scans of the kernel
-backend run only when that proof does not apply or finds a failure.
-Reversibility follows from the other axioms when the product commutes.
-The checks of that proof, the fallback check of reversibility and the
-table maps of the isomorphism test run on packed rows, one integer per row
-of the table, without unpacking any sum point by point.  Carriers are
+are proved from generators of the units, and reversibility follows from
+the other axioms when the product commutes.  The checks of that proof,
+the witness scans that run when it does not apply or finds a failure, the
+fallback check of reversibility and the table maps of the isomorphism
+test all run on packed rows (`_backend._Packed`), one integer per row of
+the table, without unpacking any sum point by point.  Carriers are
 capped at 256.  The JSON codec and the geometry unpack each distinct mask
 once, one run of set bits at a time, and `from_json` packs each cell in
 one pass."""
@@ -19,7 +19,7 @@ from math import gcd, lcm
 from .errors import DomainError, CapError, BoundedFailure
 from . import gf
 from .groups import closure, cyclic_generator, subgroup_generators
-from ._backend import assoc_witness, distrib_witness
+from ._backend import _Packed, assoc_witness, distrib_witness
 from .geometry import IncidenceStructure, verify_plane
 
 CARRIER_CAP = 256
@@ -162,8 +162,11 @@ def check_axioms(T):
     axioms hold and the product is commutative, they imply it
     (`DECISIONS.md`, "Hyperfield axioms in packed rows"); otherwise its
     packed check runs.  If a precondition fails, or a reduced or packed
-    check finds a failure, the exhaustive scan runs and reports its
-    witness."""
+    check finds a failure, the witness scan of that axiom runs over every
+    x in turn and reports the first witness of the exhaustive scan:
+    `_monoid_witness` compares rows of the product table, and
+    `assoc_witness` and `distrib_witness` packed rows (`DECISIONS.md`,
+    "Witnesses from packed rows; one kernel source")."""
     n, z, o = T.n, T.zero, T.one
     add, mul = T.hyperadd, T.mul
     res, wit = {}, {}
@@ -207,7 +210,8 @@ def check_axioms(T):
     # distributivity is closed under associative products
     if (gens is not None and absorbing is None and res["neutral-zero"]
             and res["monoid-multiplication"]
-            and all(packed.carries(add, mul[u]) for u in gens)):
+            and all(packed.carry_failure(add, mul[u]) is None
+                    for u in gens)):
         res["distributivity"] = True
     else:
         w = distrib_witness(n, add, mul)
@@ -217,7 +221,8 @@ def check_axioms(T):
 
     # a unit x scales the bracketings of (1, y/x, w/x) onto (x, y, w)
     if (gens is not None and res["distributivity"]
-            and packed.associates(z) and packed.associates(o)):
+            and packed.assoc_failure(z) is None
+            and packed.assoc_failure(o) is None):
         res["associativity"] = True
     else:
         record("associativity", assoc_witness(n, add))
@@ -244,93 +249,16 @@ def _light_test(mul, A):
 
 
 def _monoid_witness(mul):
-    """First (x, y, z) with (xy)z != x(yz), or None: all n^3 triples."""
-    n = len(mul)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    return (x, y, z)
-    return None
-
-
-class _Packed:
-    """A hyperaddition table with each row packed into one integer: block
-    w of row s, bits [w·B, w·B + n), holds s + w, with B = n + 1 rounded
-    up to whole bytes.  Sums are below 2^n, so no OR, no product of a
-    one-bit-per-block integer by a sum and no addition of two sums carries
-    into the next block (`DECISIONS.md`, "Hyperfield axioms in packed
-    rows")."""
-
-    def __init__(self, add):
-        n = self.n = len(add)
-        self.add = add
-        self.width = -(-(n + 1) // 8) * 8
-        self.full = (1 << n) - 1
-        self.spread = self.pack([1] * n)              # bit 0 of each block
-        self.low = self.full * self.spread            # bits 0..n-1
-        self.copies = sum(1 << c * (self.width - 1) for c in range(n))
-        self.rows = [self.pack(r) for r in add]
-
-    def pack(self, values):
-        """Σ values[w] << (w·B), for n values below 2^n."""
-        size = self.width // 8
-        return int.from_bytes(
-            b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-    def transpose(self, values):
-        """The packed row whose block c is {x : c in values[x]}: a copy of
-        values[x] at every offset c·(B - 1) >= c·n has its bit c at c·B."""
-        out = 0
-        for x, v in enumerate(values):
-            out |= (v * self.copies & self.spread) << x
-        return out
-
-    def images(self, f):
-        """Each row with every block S replaced by the union of f[s] over s
-        in S.  Bit c of the image of S is set iff S meets
-        G_c = {s : c in f[s]}, that is iff (S & G_c) + 2^n - 1 has bit n."""
-        n, B, spread, low = self.n, self.width, self.spread, self.low
-        reach = self.transpose(f)
-        masks = [(reach >> c * B & self.full) * spread for c in range(n)]
-        high = spread << n
-        for row in self.rows:
-            out = 0
-            for c, g in enumerate(masks):
-                out |= ((row & g) + low & high) >> (n - c)
-            yield out
-
-    def reversible(self, negs):
-        """Whether x in y + w implies w in x + (-y), for every y with a
-        negative: row y against the transpose of column -y.  `check_axioms`
-        calls it only when the other axioms do not imply reversibility."""
-        return not any(
-            self.rows[y] & ~self.transpose([r[ns[0]] for r in self.add])
-            for y, ns in enumerate(negs) if ns)
-
-    def associates(self, x):
-        """Whether (x + y) + w = x + (y + w) for all y, w: the OR of the
-        rows of the points of x + y against row y mapped through row x.
-        An identity row x passes, since both sides are y + w."""
-        rx = self.add[x]
-        if rx == [1 << w for w in range(self.n)]:
-            return True
-        for m, right in zip(rx, self.images(rx)):
-            left = 0
-            for s, r in enumerate(self.rows):
-                if m >> s & 1:
-                    left |= r
+    """First (x, y, z) with (xy)z != x(yz), or None: for each x and y in
+    turn, row xy of the product table against row x read through row y,
+    and the first z where they differ."""
+    for x, mx in enumerate(mul):
+        for y, xy in enumerate(mx):
+            left, right = mul[xy], [mx[b] for b in mul[y]]
             if left != right:
-                return False
-        return True
-
-    def carries(self, add2, phi):
-        """Whether phi(s + w) = phi(s) + phi(w) in add2 for all s, w, with
-        phi a list of carrier indices: each row mapped through phi against
-        row phi[s] of add2 read in the order phi[w]."""
-        images = self.images([1 << p for p in phi])
-        return all(image == self.pack([add2[t][p] for p in phi])
-                   for t, image in zip(phi, images))
+                return (x, y, next(z for z, (a, b) in
+                                   enumerate(zip(left, right)) if a != b))
+    return None
 
 
 def _bits(mask):
@@ -711,8 +639,8 @@ def _maps_onto(packed, T1, T2, phi):
     """Whether the carrier map phi (a list) carries T1's product and
     hyperaddition onto T2's; `packed` is T1's hyperaddition."""
     return all([phi[m] for m in row] == [T2.mul[phi[x]][p] for p in phi]
-               for x, row in enumerate(T1.mul)) and packed.carries(
-                   T2.hyperadd, phi)
+               for x, row in enumerate(T1.mul)) and packed.carry_failure(
+                   T2.hyperadd, phi) is None
 
 
 def classify_extension(T, rep=None):

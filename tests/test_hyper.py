@@ -11,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from singer.errors import DomainError, CapError
 from singer.groups import Cyclic, Abelian, Symmetric
 from singer import cli, hyper
-from singer._backend import assoc_witness, distrib_witness
+from singer import _backend
 from singer import gf
 from singer import geometry as geo
+
+from oracle import assoc_witness, distrib_witness, monoid_witness
 
 
 def test_krasner_axioms():
@@ -573,18 +575,9 @@ def _exhaustive_check_axioms(T):
             fail("monoid-multiplication", (x,))
             break
     if rep.results["monoid-multiplication"]:
-        for x in range(n):
-            for y in range(n):
-                for zz in range(n):
-                    if T.mul[T.mul[x][y]][zz] != T.mul[x][T.mul[y][zz]]:
-                        fail("monoid-multiplication", (x, y, zz))
-                        break
-                else:
-                    continue
-                break
-            else:
-                continue
-            break
+        w = monoid_witness(T.mul)
+        if w is not None:
+            fail("monoid-multiplication", w)
 
     rep.results["zero-one-distinct"] = z != o
 
@@ -696,13 +689,13 @@ def test_non_commutative_hyperfield_runs_the_reversibility_check(
 
 
 @pytest.fixture
-def compiled_scans(compiled, monkeypatch):
-    """The cubic scans of check_axioms and of the exhaustive reference,
-    compiled: in pure Python each takes seconds at n = 64.  The parity
-    tests of test_kernels.py hold the two backends to the same witnesses."""
+def packed_scans(monkeypatch):
+    """The cubic hyperaddition scans of the exhaustive reference replaced
+    by the packed ones of `_backend`, which test_kernels.py holds to them:
+    in pure Python each takes seconds at n = 64.  The reference keeps the
+    cubic `monoid_witness`, at most n^3 table lookups."""
     for name in ("assoc_witness", "distrib_witness"):
-        monkeypatch.setattr(hyper, name, getattr(compiled, name))
-        monkeypatch.setitem(globals(), name, getattr(compiled, name))
+        monkeypatch.setitem(globals(), name, getattr(_backend, name))
 
 
 # carriers of 63, 64 and 65 points, where the packed blocks cross a 64-bit
@@ -729,7 +722,7 @@ def _copy(T):
 def test_packed_rows_match_their_definitions(n):
     """transpose and images of hyper._Packed against the set definitions,
     on random tables whose sums include the empty and the full set, and
-    associates reading the last row."""
+    assoc_failure reading the last row."""
     rng = random.Random(n)
     full = (1 << n) - 1
     add = [[rng.choice((0, full, rng.getrandbits(n))) for _ in range(n)]
@@ -751,14 +744,14 @@ def test_packed_rows_match_their_definitions(n):
         # rows 0 and 1 are all {0}, so (1 + y) + w = {0} for every y and
         # w; an empty sum in the last row is the one failure
         add = [[1] * n, [1] * n] + [[full] * n for _ in range(n - 2)]
-        assert hyper._Packed(add).associates(1)
+        assert hyper._Packed(add).assoc_failure(1) is None
         add[-1][-1] = 0
-        assert not hyper._Packed(add).associates(1)
+        assert hyper._Packed(add).assoc_failure(1) == (n - 1, n - 1)
 
 
 @pytest.mark.parametrize("kind, size", _WORD_BOUNDARY)
 def test_packed_axioms_match_exhaustive_at_word_boundaries(
-        kind, size, compiled_scans):
+        kind, size, packed_scans):
     """The whole report, witnesses included, on the table and on copies
     with one point removed from the sum of the last two points (on both
     sides, then on one side) and with one product changed.  The table
@@ -782,7 +775,7 @@ def test_packed_axioms_match_exhaustive_at_word_boundaries(
 
 @pytest.mark.parametrize("kind, size", _WORD_BOUNDARY)
 def test_reversibility_witness_at_word_boundaries(kind, size,
-                                                  compiled_scans):
+                                                  packed_scans):
     """x + y = {x, y} for distinct nonzero x, y keeps x + x = {0, x}.  The
     first failure of reversibility is (1, 1, g): 1 lies in 1 + g, but g
     is not in 1 + (-1) = {0, 1}.  With a commutative product the other
@@ -919,3 +912,30 @@ def test_check_axioms_time_gate_at_the_carrier_cap():
     start = time.perf_counter()
     assert hyper.check_axioms(T).passed()
     assert time.perf_counter() - start < 3.0
+
+
+def test_check_axioms_fallback_time_gate(packed_scans, monkeypatch):
+    """n = 64 with one product changed: the units are no longer a group,
+    so the monoid, distributivity and associativity fallbacks all run, and
+    the associativity scan reads every x without finding a witness.
+    0.4-0.7 s on 2 vCPUs; the same fallback takes 12-13 s at n = 129.  The
+    pinned witnesses are those of the cubic scans of `oracle`."""
+    T = hyper.k_algebra(Cyclic(63))
+    x, y = T.n - 2, T.n - 1
+    T.mul[x][y] = T.mul[x][y] % (T.n - 1) + 1
+    ran = []
+    for name in ("assoc_witness", "distrib_witness", "_monoid_witness"):
+        monkeypatch.setattr(hyper, name, lambda *args, name=name,
+                            scan=getattr(hyper, name):
+                            ran.append(name) or scan(*args))
+    start = time.perf_counter()
+    rep = hyper.check_axioms(T)
+    elapsed = time.perf_counter() - start
+    assert sorted(ran) == ["_monoid_witness", "assoc_witness",
+                           "distrib_witness"]
+    assert rep.witnesses == {"distributivity": (62, 1, 2),
+                             "monoid-multiplication": (2, 61, 63),
+                             "multiplicative-group": (62,)}
+    ref = _exhaustive_check_axioms(T)
+    assert (rep.results, rep.witnesses) == (ref.results, ref.witnesses)
+    assert elapsed < 2.0

@@ -1,12 +1,15 @@
-"""Backend parity: the compiled kernels and the pure-Python fallback must
-return identical witnesses on identical inputs."""
+"""The kernels of `singer._backend` against the exhaustive references of
+`oracle`: the packed-row witness scans and the row-based monoid witness
+of `hyper` must return the cubic scans' first witness, and the line
+kernels the pairwise scans' answers, on identical inputs."""
 
 import random
 
 import pytest
 
-from singer import _kernels_py
-from singer import _backend, diffsets, geometry
+import oracle
+from singer import _backend, diffsets, geometry, hyper
+from singer.groups import Cyclic
 
 
 def random_instance(n, seed, sparse=True):
@@ -21,25 +24,86 @@ def random_instance(n, seed, sparse=True):
     return rows, mul
 
 
+def _assert_scans_agree(n, rows, mul):
+    """The three witnesses against the references; returns the
+    associativity and distributivity witnesses."""
+    found = (_backend.assoc_witness(n, rows),
+             _backend.distrib_witness(n, rows, mul))
+    assert found == (oracle.assoc_witness(n, rows),
+                     oracle.distrib_witness(n, rows, mul))
+    assert hyper._monoid_witness(mul) == oracle.monoid_witness(mul)
+    return found
+
+
+# [70-4-False] has dense sums and no associativity witness: both scans read
+# every triple
 @pytest.mark.parametrize("n,seed,sparse", [(5, 0, True), (9, 1, True),
                                            (16, 2, False), (33, 3, True),
                                            (70, 4, False), (130, 5, True)])
-def test_assoc_distrib_parity(compiled, n, seed, sparse):
+def test_assoc_distrib_parity(n, seed, sparse):
     rows, mul = random_instance(n, seed, sparse)
-    assert compiled.assoc_witness(n, rows) == \
-        _kernels_py.assoc_witness(n, rows)
-    assert compiled.distrib_witness(n, rows, mul) == \
-        _kernels_py.distrib_witness(n, rows, mul)
+    _assert_scans_agree(n, rows, mul)
 
 
-def test_parity_on_associative_table(compiled):
+def test_parity_on_associative_table():
     # hyperaddition of the 14-class quotient table passes both scans
-    from singer import hyper
     T = hyper.field_quotient_table(3, 3)
-    assert compiled.assoc_witness(T.n, T.hyperadd) is None
-    assert _kernels_py.assoc_witness(T.n, T.hyperadd) is None
-    assert compiled.distrib_witness(T.n, T.hyperadd, T.mul) is None
-    assert _kernels_py.distrib_witness(T.n, T.hyperadd, T.mul) is None
+    for scans in (_backend, oracle):
+        assert scans.assoc_witness(T.n, T.hyperadd) is None
+        assert scans.distrib_witness(T.n, T.hyperadd, T.mul) is None
+    assert hyper._monoid_witness(T.mul) is None
+
+
+def _small_tables():
+    """Tables of the constructors on 2 to 13 points: hyperfields, whose
+    scans find nothing until a cell is changed, and the three-point line
+    k_algebra(C_3), which is not associative."""
+    yield hyper.krasner()
+    for k in range(3, 13):
+        yield hyper.k_algebra(Cyclic(k))
+    for q, m in ((2, 2), (2, 3), (3, 2), (4, 2)):
+        yield hyper.field_quotient_table(q, m)
+
+
+def _sweep_tables():
+    """Random tables on 1 to 13 points (sums sparse, dense, single points,
+    or empty and full among random ones) with random products, and the
+    small tables of the constructors with one sum or one product changed
+    at random, so that witnesses are found past the first x."""
+    rng = random.Random(0)
+    for _ in range(240):
+        n = rng.randint(1, 13)
+        full = (1 << n) - 1
+        cell = rng.choice((
+            lambda: 1 << rng.randrange(n) | 1 << rng.randrange(n),
+            lambda: rng.randint(1, full),
+            lambda: 1 << rng.randrange(n),
+            lambda: rng.choice((0, full, rng.getrandbits(n)))))
+        yield (n, [[cell() for _ in range(n)] for _ in range(n)],
+               [[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    for T in _small_tables():
+        n = T.n
+        yield n, T.hyperadd, T.mul
+        for k in range(20):
+            rows = [list(r) for r in T.hyperadd]
+            mul = [list(r) for r in T.mul]
+            if k % 2:
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.getrandbits(n)
+            else:
+                mul[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            yield n, rows, mul
+
+
+def test_scans_match_the_references_on_small_tables():
+    assoc, distrib = set(), set()
+    for n, rows, mul in _sweep_tables():
+        for firsts, w in zip((assoc, distrib),
+                             _assert_scans_agree(n, rows, mul)):
+            firsts.add(w and w[0])
+    # each scan passes some tables, and finds witnesses past its first x:
+    # a changed product moves the first u of distributivity to its row
+    assert assoc >= {None, *range(4)}
+    assert distrib >= {None, *range(10)}
 
 
 def random_lines(seed):
@@ -103,41 +167,41 @@ for name, (npts, masks) in PLANES.items():
 
 
 @pytest.mark.parametrize("case", LINE_CASES)
-def test_line_scan_parity(compiled, case):
+def test_line_scan_parity(case):
     npts, masks = LINE_CASES[case]
     for lo, hi in [(1, 1), (0, 1), (0, 2), (0, 0), (2, 2)]:
-        assert compiled.line_pair_witness(masks, lo, hi) == \
-            _kernels_py.line_pair_witness(masks, lo, hi)
-    assert compiled.coverage_witness(npts, masks) == \
-        _kernels_py.coverage_witness(npts, masks)
+        assert _backend.line_pair_witness(masks, lo, hi) == \
+            oracle.line_pair_witness(masks, lo, hi)
+    assert _backend.coverage_witness(npts, masks) == \
+        oracle.coverage_witness(npts, masks)
 
 
 @pytest.mark.parametrize("name", PLANES)
 def test_stars_decide_the_planes(name):
     npts, masks = PLANES[name]
-    assert _kernels_py.lines_meet_once(masks)
+    assert _backend.lines_meet_once(masks)
     # 1 is outside [2, 2]: the pairwise scan runs and finds the first pair
-    assert _kernels_py.line_pair_witness(masks, 2, 2) == (0, 1, 1)
+    assert _backend.line_pair_witness(masks, 2, 2) == (0, 1, 1)
     for kind, bad in _mutations(npts, masks).items():
         # the lines left after one is dropped still meet pairwise once
-        assert _kernels_py.lines_meet_once(bad) is (kind == "line dropped")
+        assert _backend.lines_meet_once(bad) is (kind == "line dropped")
 
 
 def test_stars_need_every_line_met():
     npts, masks = LINE_CASES["sizes balance"]
-    assert not _kernels_py.lines_meet_once(masks)
-    assert _kernels_py.line_pair_witness(masks, 1, 1) == (0, 1, 2)
+    assert not _backend.lines_meet_once(masks)
+    assert _backend.line_pair_witness(masks, 1, 1) == (0, 1, 2)
 
 
 def test_points_match_the_bit_loop():
     masks = [0, 1, 2, 1 << 63, 1 << 64, (1 << 64) - 1, 1 << 64 | 1 << 65,
              (1 << 130) - 1 - (1 << 64), 0b1011 << 200]
     for mask in masks:
-        assert list(_kernels_py._points(mask)) == [
+        assert list(_backend._points(mask)) == [
             p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def test_backend_selected():
-    assert _backend.BACKEND in ("c", "python")
+    assert _backend.BACKEND == "python"
     w = _backend.assoc_witness(2, [[0b01, 0b10], [0b10, 0b11]])
     assert w is None
