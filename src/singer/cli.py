@@ -299,6 +299,12 @@ def cmd_verify_only_obj(obj):
             return report, False
         return report, cert.ok
     if "points" in obj and "lines" in obj:
+        meta = obj.get("meta")
+        if isinstance(meta, dict) and meta.get("construction") == "pg-singer":
+            # a space of dimension >= 3 is no plane, and it has no
+            # certificate of its own: its payload's rebuild is the check
+            raise DomainError("a bare PG(m, q) space cannot be re-checked "
+                              "alone; re-check the whole classical payload")
         gamma = geometry.IncidenceStructure.from_json(obj)
         cert = geometry.verify_plane(gamma)
         return {"kind": "plane", "certificate": cert.to_json()}, cert.ok

@@ -12,8 +12,8 @@ asserted along the way.
 """
 
 import hashlib
-import itertools
 import json
+from itertools import product, repeat
 
 from .errors import DomainError, BoundedFailure, Certificate
 from .groups import parse_group, has_involution, FieldQuotient
@@ -58,15 +58,16 @@ class PartialDifferenceSet:
 
 
 def differences(S):
-    """{ a b^-1 : a, b in S, a != b } as a set."""
+    """{ a b^-1 : a, b in S, a != b } as a set.
+
+    All k^2 products are formed and the identity is dropped after: the
+    elements are distinct, so a b^-1 = e exactly when a = b."""
     G = S.group
     out = set()
     els = S.elements
     for b in els:
-        b_inv = G.inv(b)
-        for a in els:
-            if a != b:
-                out.add(G.mul(a, b_inv))
+        out.update(map(G.mul, els, repeat(G.inv(b))))
+    out.discard(G.identity)
     return out
 
 
@@ -74,10 +75,11 @@ def _difference_pairs(S):
     """Map difference -> list of ordered pairs producing it."""
     G = S.group
     out = {}
+    invs = [(b, G.inv(b)) for b in S.elements]
     for a in S.elements:
-        for b in S.elements:
+        for b, b_inv in invs:
             if a != b:
-                out.setdefault(G.mul(a, G.inv(b)), []).append((a, b))
+                out.setdefault(G.mul(a, b_inv), []).append((a, b))
     return out
 
 
@@ -146,7 +148,7 @@ def classical_singer(q, m):
     # each multiple c*g^j of a basis vector is formed once
     multiples = [[F.mul(c, exp[j]) for c in subfield] for j in range(m)]
     S = set()
-    for terms in itertools.product(*multiples):
+    for terms in product(*multiples):
         h = 0
         for t in terms:
             h = F.add(h, t)
@@ -228,23 +230,16 @@ class BuilderState:
         return BuilderState(S, len(log), log)
 
 
-def _new_differences(G, els, invs, diffs, z, seen):
+def _new_differences(G, els, invs, z, seen):
     """Add to `seen` the differences z s^-1 and s z^-1 (s in `els`, whose
-    inverses are `invs`) that adjoining z contributes.  False on any
-    collision, with `diffs` or among themselves (`seen` included).  The
-    caller keeps z out of `els`, so none of them is the identity."""
-    mul = G.mul
-    # diffs = diffs^-1, so s z^-1 lies in it exactly when z s^-1 does
-    for s_inv in invs:
-        if mul(z, s_inv) in diffs:
-            return False
-    z_inv = G.inv(z)
-    for s, s_inv in zip(els, invs):
-        for d in (mul(z, s_inv), mul(s, z_inv)):
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+    inverses are `invs`) that adjoining z contributes.  False when two of
+    them are equal or one was in `seen` already, that is when `seen` grows
+    by fewer than 2 |els|.  The caller keeps z out of `els`, so none of
+    them is the identity, and tests them against the set's differences."""
+    before = len(seen)
+    seen.update(map(G.mul, repeat(z), invs))
+    seen.update(map(G.mul, els, repeat(G.inv(z))))
+    return len(seen) - before == 2 * len(els)
 
 
 def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
@@ -285,7 +280,7 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
     if cands is None:
         cands = Candidates(G.elements())
 
-    d_inv = G.inv(d)
+    mul, d_inv = G.mul, G.inv(d)
     elset = set(els)
     within = f"no candidate for target {G.canon(d)} within {search_bound}"
     marked = []
@@ -294,16 +289,20 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
             if i >= search_bound:
                 raise BoundedFailure(within)
             new = set()
-            if x in elset or not _new_differences(G, els, invs, diffs, x,
-                                                  new):
+            # D = D^-1, so s x^-1 lies in D exactly when x s^-1 does; the
+            # lazy map stops at the first product that lies in D
+            if (x in elset or not diffs.isdisjoint(map(mul, repeat(x), invs))
+                    or not _new_differences(G, els, invs, x, new)):
                 marked.append(i)
                 continue
-            y = G.mul(d_inv, x)
+            y = mul(d_inv, x)
             if y in elset:
                 new_els = (x,)
-            elif x != y and _new_differences(G, els + (x,),
-                                             invs + [G.inv(x)], diffs, y,
-                                             new):
+            # of y's products, y x^-1 = d^-1 needs no test against D: d is
+            # not in D, and D = D^-1
+            elif (x != y and diffs.isdisjoint(map(mul, repeat(y), invs))
+                  and _new_differences(G, els + (x,), invs + [G.inv(x)], y,
+                                       new)):
                 new_els = (x, y)
             else:
                 continue

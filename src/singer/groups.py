@@ -15,11 +15,13 @@ element.
 """
 
 import itertools
+import operator
 
 from .errors import DomainError, CapError
 from .gf import is_prime, check_field_size
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"    # the generator names of Free(k)
+# the generator names of Free(k): every letter but "e", the identity's name
+_LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 
 class GroupHandle:
@@ -203,11 +205,9 @@ class Integers(GroupHandle):
         if not isinstance(a, int):
             raise DomainError(f"{a!r} is not an integer")
 
-    def mul(self, a, b):
-        return a + b
-
-    def inv(self, a):
-        return -a
+    # builtins, so that products formed by `map` enter no Python frame
+    mul = staticmethod(operator.add)
+    inv = staticmethod(operator.neg)
 
     def elements(self):
         yield 0
@@ -242,8 +242,9 @@ class Free(GroupHandle):
     def __init__(self, rank):
         if rank < 1:
             raise DomainError("free rank must be >= 1")
-        if rank > 26:
-            raise CapError("free rank capped at 26 (letter names)")
+        if rank > len(_LETTERS):
+            raise CapError(f"free rank capped at {len(_LETTERS)}: one letter "
+                           "per generator, and e names the identity")
         self.rank = rank
 
     @property
@@ -261,12 +262,13 @@ class Free(GroupHandle):
                 raise DomainError(f"word {a!r} is not reduced")
 
     def mul(self, a, b):
-        a = list(a)
-        i = 0
-        while a and i < len(b) and a[-1] ^ 1 == b[i]:
-            a.pop()
+        if not a or not b or a[-1] ^ 1 != b[0]:
+            return a + b
+        # cancel the longest suffix of a that is the inverse of b's prefix
+        i, n = 1, min(len(a), len(b))
+        while i < n and a[-1 - i] ^ 1 == b[i]:
             i += 1
-        return tuple(a) + b[i:]
+        return a[:len(a) - i] + b[i:]
 
     def inv(self, a):
         return tuple(c ^ 1 for c in reversed(a))
@@ -305,7 +307,10 @@ class Free(GroupHandle):
                 name, off = part[:-3], 1
             else:
                 name, off = part, 0
-            k = _LETTERS.index(name)
+            k = _LETTERS.find(name) if len(name) == 1 else -1
+            if not 0 <= k < self.rank:
+                raise DomainError(f"unknown letter {name!r} in {s!r} for "
+                                  f"{self.spec_string()}")
             word.append(2 * k + off)
         w = tuple(word)
         self.validate(w)
@@ -466,7 +471,7 @@ def parse_group(spec):
         if kind == "fieldquot":
             kv = dict(item.split("=") for item in params.split(","))
             return FieldQuotient(int(kv["p"]), int(kv["n"]), int(kv["m"]))
-    except DomainError:
+    except (DomainError, CapError):
         raise
     except Exception as exc:
         raise DomainError(f"bad group spec {spec!r}: {exc}") from exc

@@ -3,6 +3,8 @@
 Each function here is the plain definition of what a kernel decides, with
 no reduction: the tests hold the kernels to these answers, witnesses
 included, at sizes where the references run in a fraction of a second.
+The difference maps and the free-word product are here as the
+one-product-at-a-time loops that set operations replaced.
 """
 
 from functools import reduce
@@ -81,3 +83,53 @@ def coverage_witness(npoints, line_masks):
             if not any(m >> p & 1 and m >> q & 1 for m in line_masks):
                 return (p, q)
     return None
+
+
+def differences(G, els):
+    """{ a b^-1 : a, b in els, a != b }: one product per ordered pair of
+    distinct elements."""
+    out = set()
+    for b in els:
+        b_inv = G.inv(b)
+        for a in els:
+            if a != b:
+                out.add(G.mul(a, b_inv))
+    return out
+
+
+def difference_pairs(G, els):
+    """{difference: the ordered pairs (a, b), a != b, with a b^-1 equal to
+    it, in the order a, then b, runs over els}."""
+    out = {}
+    for a in els:
+        for b in els:
+            if a != b:
+                out.setdefault(G.mul(a, G.inv(b)), []).append((a, b))
+    return out
+
+
+def new_differences(G, els, invs, diffs, z, seen):
+    """The builder's test of adjoining z, one product at a time: False at
+    the first z s^-1 in `diffs`, or at the first of z s^-1, s z^-1 already
+    in `seen`; else True, with all of them added to `seen`."""
+    for s_inv in invs:
+        if G.mul(z, s_inv) in diffs:
+            return False
+    z_inv = G.inv(z)
+    for s, s_inv in zip(els, invs):
+        for d in (G.mul(z, s_inv), G.mul(s, z_inv)):
+            if d in seen:
+                return False
+            seen.add(d)
+    return True
+
+
+def free_mul(a, b):
+    """The product of two reduced free words (tuples of letter codes, code
+    c ^ 1 inverse to c), cancelling one letter pair at a time."""
+    a = list(a)
+    i = 0
+    while a and i < len(b) and a[-1] ^ 1 == b[i]:
+        a.pop()
+        i += 1
+    return tuple(a) + b[i:]

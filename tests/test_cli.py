@@ -132,6 +132,22 @@ def test_hughes_free_group(capsys):
     assert obj["difference_set"]["group"] == "free:2"
 
 
+def test_hughes_free_rank_five_and_the_rank_cap(tmp_path, capsys):
+    # generator 4 is named f; when it was e, the identity's name, the
+    # log did not replay and the command ended in a traceback
+    path = tmp_path / "f5.json"
+    obj = payload(["--out", str(path), "hughes", "--group", "free:5",
+                   "--targets", "60"], capsys)
+    assert any(s.startswith("f") for s in obj["difference_set"]["elements"])
+    code, out, _ = run(["--verify-only", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["log"]["ok"]
+    code, out, err = run(["hughes", "--group", "free:26", "--targets", "3"],
+                         capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: free rank capped at 25")
+
+
 def test_hughes_involution_refused(capsys):
     code, _, err = run(["hughes", "--group", "cyclic:4", "--targets", "2"],
                        capsys)
@@ -395,6 +411,26 @@ def test_verify_only_roundtrips(tmp_path, capsys):
         code, out, err = run(["--verify-only", str(bad)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_only_refuses_a_bare_space(tmp_path, capsys):
+    # a PG(3, 2) space is no plane: alone it is refused, and its whole
+    # `classical` payload is the one that re-checks
+    path = tmp_path / "obj.json"
+    obj = payload(["--out", str(path), "classical", "--q", "2", "--m", "3"],
+                  capsys)
+    code, out, _ = run(["--verify-only", str(path)], capsys)
+    assert code == 0 and json.loads(out)["kind"] == "singer-space"
+    path.write_text(json.dumps(obj["space"]))
+    code, out, err = run(["--verify-only", str(path)], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "whole classical payload" in err
+    # a bare plane is still judged as a plane
+    obj = payload(["classical", "--q", "3"], capsys)
+    path.write_text(json.dumps(obj["plane"]))
+    code, out, _ = run(["--verify-only", str(path)], capsys)
+    assert code == 0 and json.loads(out) == {
+        "kind": "plane", "certificate": obj["plane_certificate"]}
 
 
 def test_verify_only_rechecks_classical_plane(tmp_path, capsys):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import oracle
 from singer.errors import DomainError, BoundedFailure
 from singer.groups import Cyclic, Abelian, Integers, Free
 from singer import diffsets as ds, gf
@@ -369,6 +370,81 @@ def test_builder_draws_each_position_once(monkeypatch):
     chosen = {int(e["chosen_x"]) for e in st.log if e["chosen_x"]}
     furthest = max(2 * abs(x) - (x > 0) for x in chosen)  # 0, 1, -1, 2, ...
     assert st.candidates.drawn == furthest + 1 == 42188
+
+
+# ---------------------------------------------------------------------------
+# the difference maps on set operations against the per-product loops
+
+SMALL_GROUPS = [Integers(), Free(2), Free(3), Cyclic(13), Abelian((3, 9))]
+
+
+def small_sets(G):
+    """Every set of one to four of the first eight elements."""
+    first = G.enumerate(8)
+    return [c for k in range(1, 5) for c in itertools.combinations(first, k)]
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)
+def test_difference_maps_match_the_loops(G):
+    repeated = 0
+    for els in small_sets(G):
+        S = pds(G, els)
+        ref = oracle.differences(G, els)
+        assert ds.differences(S) == ref
+        assert ds._difference_pairs(S) == oracle.difference_pairs(G, els)
+        repeated += len(ref) < len(els) * (len(els) - 1)
+    assert repeated > 0  # some of the sets repeat a difference
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)
+def test_new_differences_match_the_loop(G):
+    # the test against D, then `_new_differences`, as `hughes_step` runs
+    # them; `seen` starts empty or holds elements that may collide
+    zs = G.enumerate(12)
+    outcomes = set()
+    for els in small_sets(G):
+        invs = [G.inv(s) for s in els]
+        D = oracle.differences(G, els)
+        for z in zs:
+            if z in els:
+                continue
+            for start in (set(), set(zs[1:4])):
+                seen_ref, seen = set(start), set(start)
+                ok = oracle.new_differences(G, els, invs, D, z, seen_ref)
+                fresh = D.isdisjoint(map(G.mul, itertools.repeat(z), invs))
+                assert (fresh and ds._new_differences(G, els, invs, z, seen)
+                        ) == ok
+                if ok:
+                    assert seen == seen_ref
+                outcomes.add("new" if ok else "seen" if fresh else "in D")
+    assert outcomes == {"new", "seen", "in D"}
+
+
+@pytest.mark.parametrize("G", [Integers(), Free(2)], ids=str)
+def test_candidate_verdicts_match_the_loop(G):
+    # the head of a 30-target build steps with each of the first 500
+    # positions as its one live candidate: the step marks the position
+    # exactly when the per-product loop finds that x collides on its own
+    head = ds.hughes_build(G, 30)
+    S = head.current
+    els, invs = S.elements, head.invs
+    D = oracle.differences(G, els)
+    d = next(t for t in G.elements() if t != G.identity and t not in D)
+    marks = []
+    for i, x in enumerate(G.enumerate(500)):
+        cands = ds.Candidates(iter(()))
+        cands.live[i], cands.drawn = x, i + 1
+        state = ds.BuilderState(S, head.targets_consumed, head.log, set(D),
+                                cands, list(invs))
+        try:
+            ds.hughes_step(state, d)
+            marked = False  # x joined the set
+        except BoundedFailure:
+            marked = i not in cands.live
+        assert marked == (x in els or not oracle.new_differences(
+            G, els, invs, D, x, set()))
+        marks.append(marked)
+    assert 0 < sum(marks) < 500
 
 
 def prefixes_partial(state):

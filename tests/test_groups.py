@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from singer.errors import DomainError, CapError
 from singer.groups import (Cyclic, Abelian, Integers, Free, Symmetric,
                            Monomial, FieldQuotient, parse_group,
@@ -71,6 +72,37 @@ def test_free_words_reduced_and_shortlex():
     assert lengths == sorted(lengths)
     for w in words:
         F.validate(w)  # would raise on an unreduced word
+
+
+def test_free_mul_matches_the_letter_loop():
+    # every pair of words of length up to 3: 1 + 4 + 12 + 36 of them
+    F = Free(2)
+    words = F.enumerate(53)
+    assert max(map(len, words)) == 3 and len(F.enumerate(54)[-1]) == 4
+    for a, b in itertools.product(words, repeat=2):
+        assert F.mul(a, b) == oracle.free_mul(a, b)
+
+
+@pytest.mark.parametrize("rank", [5, 25])
+def test_free_names_roundtrip(rank):
+    # the identity and every generator and its inverse; generator 4 is f,
+    # because e names the identity
+    F = Free(rank)
+    words = [()] + [(c,) for c in range(2 * rank)]
+    names = [F.canon(w) for w in words]
+    assert names[:3] == ["e", "a", "a^-1"] and names[9:11] == ["f", "f^-1"]
+    assert len(set(names)) == len(names)
+    assert [F.parse(s) for s in names] == words
+
+
+def test_free_rank_cap_and_unknown_letters():
+    with pytest.raises(CapError, match="capped at 25"):
+        Free(26)
+    with pytest.raises(CapError, match="capped at 25"):
+        parse_group("free:26")
+    for s in ("a*c", "e*a", "a**b", "ab", "z^-1"):
+        with pytest.raises(DomainError, match="unknown letter"):
+            Free(2).parse(s)
 
 
 def test_involutions():
