@@ -12,14 +12,13 @@ from .diffsets import (PartialDifferenceSet, differences, verify_partial,
                        hughes_step, hughes_build, replay_chain)
 from .geometry import (IncidenceStructure, verify_plane,
                        plane_from_difference_set, right_translation_action,
-                       pg_space, verify_singer_action, Collineation,
-                       fixed_points, char_poly)
+                       pg_space, verify_singer_action)
 from .hyper import (HyperTable, check_axioms, krasner, k_algebra,
                     QuotientSpec, quotient_hyperring, field_quotient_table,
                     contains_krasner, hyperfield_to_geometry,
                     geometry_to_hyperfield, classify_extension,
                     tables_isomorphic)
 from .f1 import (F1Space, singer_first, singer_general, embed_singer,
-                 direct_limit_demo, regular_subgroup_survey, verify_regular)
+                 direct_limit_demo, verify_regular)
 
 __version__ = "1.0.0"

@@ -229,9 +229,11 @@ def _lemma_table(p, top):
         raise CapError("p exceeds the field size cap 2^20")
     if not gf.is_prime(p):
         raise DomainError(f"{p} is not prime")
+    if top < 1:
+        raise DomainError(f"max must be >= 1, not {top}")
     # p >= 2, so p^(2 top) has more than 2 top bits: no huge power is formed
-    if top > LEMMA_BITS_CAP // 2 or (
-            top > 0 and (p ** (2 * top)).bit_length() > LEMMA_BITS_CAP):
+    if (top > LEMMA_BITS_CAP // 2
+            or (p ** (2 * top)).bit_length() > LEMMA_BITS_CAP):
         raise CapError(f"p^(2 max) exceeds the lemma cap of "
                        f"{LEMMA_BITS_CAP} bits")
     table = []

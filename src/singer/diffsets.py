@@ -288,11 +288,13 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
         for i, x in cands.scan():
             if i >= search_bound:
                 raise BoundedFailure(within)
-            new = set()
             # D = D^-1, so s x^-1 lies in D exactly when x s^-1 does; the
             # lazy map stops at the first product that lies in D
-            if (x in elset or not diffs.isdisjoint(map(mul, repeat(x), invs))
-                    or not _new_differences(G, els, invs, x, new)):
+            if x in elset or not diffs.isdisjoint(map(mul, repeat(x), invs)):
+                marked.append(i)
+                continue
+            new = set()
+            if not _new_differences(G, els, invs, x, new):
                 marked.append(i)
                 continue
             y = mul(d_inv, x)

@@ -8,7 +8,6 @@ cyclic of order n.  Embeddings between levels i | j realize the directed
 system whose limit acts on the union of all levels."""
 
 import itertools
-from math import factorial
 
 from .errors import DomainError, CapError, Certificate
 from . import gf
@@ -16,7 +15,6 @@ from .groups import (Monomial, Symmetric, closure, cyclic_generator,
                      subgroup_generators)
 
 F1_POINT_CAP = 10 ** 4
-SURVEY_CANDIDATE_BUDGET = 8000
 
 
 class F1Space:
@@ -290,6 +288,8 @@ def direct_limit_demo(m, chain, S=None):
     chain = list(chain)
     if not 1 <= len(chain) <= 8:
         raise DomainError("chain length must be between 1 and 8")
+    if min(chain) < 1:
+        raise DomainError(f"chain entries must be >= 1, not {min(chain)}")
     for a, b in zip(chain, chain[1:]):
         if b % a != 0:
             raise DomainError(f"chain not divisible: {a} does not divide {b}")
@@ -317,79 +317,3 @@ def direct_limit_demo(m, chain, S=None):
             if step2.point_map[step1.point_map[p]] != img:
                 coherent = False
     return {"m": m, "chain": chain, "stages": stages, "coherent": coherent}
-
-
-# ---------------------------------------------------------------------------
-# exhaustive cross-check: every point-regular subgroup of the monomial group
-# has transitive fiber action with cyclic fiber-stabilizers
-
-def fiber_stabilizer_cyclic(space, elements):
-    """Whether the fiber-0 stabilizer of a regular group is cyclic of
-    order n (the structural shape produced by the coset construction)."""
-    aut = space.aut
-    stab = [g for g in elements if g[0][0] == 0]
-    return (len(stab) == space.n
-            and cyclic_generator(aut.mul, aut.identity, stab) is not None)
-
-
-def regular_subgroup_survey(m, n):
-    """Enumerate every point-regular subgroup of the monomial group and
-    check each one is transitive on fibers with a cyclic fiber-stabilizer
-    (the shape the stabilizer-coset construction produces).
-
-    The search is exhaustive only when the per-slot candidate count
-    n^m * m! fits the budget; otherwise the structural argument is
-    reported: the fiber-0 stabilizer of a point-regular group maps
-    injectively and surjectively onto the twist group of fiber 0 via
-    g -> twist_0(g), hence is cyclic of order n."""
-    sp = F1Space(m, n)
-    aut = sp.aut
-    N = sp.npoints
-    per_slot = (n ** m) * factorial(m)
-    if per_slot * N > SURVEY_CANDIDATE_BUDGET:
-        return {"m": m, "n": n, "mode": "structural",
-                "confirmed": True,
-                "note": ("candidate count per search slot exceeds budget; "
-                         "claim holds structurally: twist_0 restricted to "
-                         "the fiber-0 stabilizer of a point-regular group "
-                         "is an isomorphism onto C_n")}
-    base = sp.points[0]
-    pidx = {p: k for k, p in enumerate(sp.points)}
-
-    # candidates[k]: fixed-point-free elements sending base to point k.  A
-    # group inside `free` acts freely, so it has at most N elements and
-    # they send base to distinct points.
-    free = set()
-    candidates = [[] for _ in range(N)]
-    for g in aut.elements():
-        perm, tw = g
-        if g != aut.identity and any(
-                perm[i] == i and tw[i] == 0 for i in range(m + 1)):
-            continue
-        free.add(g)
-        candidates[pidx[aut.act(g, base)]].append(g)
-
-    found = []
-    bad = []
-
-    def rec(group, gens):
-        covered = {pidx[aut.act(g, base)] for g in group}
-        if len(group) == N:
-            found.append(frozenset(group))
-            if not fiber_stabilizer_cyclic(sp, group):
-                bad.append(sorted(aut.canon(g) for g in group))
-            return
-        target = min(k for k in range(N) if k not in covered)
-        for g in candidates[target]:
-            # g first, so that a product outside `free` shows up early
-            more = [g, *gens]
-            newg = closure(aut.mul, more, group | {g}, free)
-            if newg is not None:
-                rec(newg, more)
-
-    rec({aut.identity}, [])
-    unique = set(found)
-    return {"m": m, "n": n, "mode": "exhaustive",
-            "regular_subgroups": len(unique),
-            "confirmed": not bad,
-            "counterexamples": bad}

@@ -1,12 +1,11 @@
-"""Finite incidence structures: plane axioms, Singer actions and
-collineation fixed points.
+"""Finite incidence structures: plane axioms, PG(m, q) and Singer
+actions.  Collineation fixed points live in `collineations`.
 
 Incidence is stored as one bitmask of point indices per line; the axiom
 scans run on those masks in `_backend`, whose line-pair kernel decides a
 plane from its point stars."""
 
 import itertools
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import DomainError, CapError, Certificate
@@ -388,193 +387,3 @@ def _exhaustive_singer_action(gamma, G, action):
             return Certificate(False, {
                 "reason": "not transitive", "point": p})
     return Certificate(True, {"group_order": len(els), "points": npts})
-
-
-# ---------------------------------------------------------------------------
-# collineations of PG(k, F) and their fixed points
-
-class Collineation:
-    """Semilinear map x -> A x^sigma of PG(dim-1, F); sigma is a power of
-    Frobenius (ignored over the rationals)."""
-
-    def __init__(self, field, matrix, frobenius_power=0):
-        self.field = field      # a gf.GF or the string "Q"
-        self.A = tuple(tuple(row) for row in matrix)
-        self.dim = len(self.A)
-        if any(len(r) != self.dim for r in self.A):
-            raise DomainError("matrix must be square")
-        self.sigma = frobenius_power
-        if field == "Q" and frobenius_power:
-            raise DomainError("no field automorphisms over the rationals")
-
-
-def apply_collineation(c, vec):
-    F = c.field
-    if F == "Q":
-        out = [sum(c.A[i][j] * vec[j] for j in range(c.dim))
-               for i in range(c.dim)]
-        return tuple(out)
-    tw = [F.pow(x, F.p ** (c.sigma % F.n) if F.n > 1 else 1) for x in vec] \
-        if c.sigma else list(vec)
-    out = []
-    for i in range(c.dim):
-        acc = 0
-        for j in range(c.dim):
-            acc = F.add(acc, F.mul(c.A[i][j], tw[j]))
-        out.append(acc)
-    return tuple(out)
-
-
-class _Rationals:
-    """The element operations of `gf.GF` for Q, on exact Fractions, so the
-    linear algebra below serves both kinds of field."""
-
-    @staticmethod
-    def add(a, b):
-        return Fraction(a) + b
-
-    @staticmethod
-    def neg(a):
-        return -Fraction(a)
-
-    @staticmethod
-    def sub(a, b):
-        return Fraction(a) - b
-
-    @staticmethod
-    def mul(a, b):
-        return Fraction(a) * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / Fraction(a)
-
-
-RATIONALS = _Rationals()
-
-
-def char_poly(F, A):
-    """det(xI - A) by cofactor expansion; coefficients low-to-high, in the
-    field F (a `gf.GF`, or `RATIONALS`).  Exact for the small dims used
-    here."""
-    dim = len(A)
-    # polynomial entries: tuples of field elements, low-to-high
-    def padd(f, g):
-        n = max(len(f), len(g))
-        return tuple(F.add(f[i] if i < len(f) else 0,
-                           g[i] if i < len(g) else 0) for i in range(n))
-
-    def pmul(f, g):
-        if not f or not g:
-            return ()
-        out = [0] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            for j, y in enumerate(g):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return tuple(out)
-
-    def pneg(f):
-        return tuple(F.neg(x) for x in f)
-
-    M = [[(F.neg(A[i][j]),) if i != j else (F.neg(A[i][j]), 1)
-          for j in range(dim)] for i in range(dim)]
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            return M[rows[0]][cols[0]]
-        acc = ()
-        r = rows[0]
-        for k, cidx in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = pmul(M[r][cidx], minor)
-            acc = padd(acc, term if k % 2 == 0 else pneg(term))
-        return acc
-
-    poly = det(tuple(range(dim)), tuple(range(dim)))
-    return tuple(poly) + (0,) * (dim + 1 - len(poly))
-
-
-def _nullspace(F, M):
-    """Basis of the nullspace of M over F (list of tuples)."""
-    rows = [list(r) for r in M]
-    dim = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j]))
-                           for j in range(dim)]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
-        vec = [0] * dim
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = F.neg(rows[i][fc])
-        basis.append(tuple(vec))
-    return basis
-
-
-def is_invertible(F, A):
-    return len(_nullspace(F, A)) == 0
-
-
-def fixed_points(c):
-    """Projective fixed points of a collineation.
-
-    Linear case: eigenvalue roots of the characteristic polynomial plus a
-    nullspace solve per root.  Semilinear over a finite field and the
-    rational case fall back to their natural exhaustive/root-theorem
-    routes."""
-    F = c.field
-    if F == "Q":
-        pts = []
-        for rho in gf.rational_roots(char_poly(RATIONALS, c.A)):
-            M = [[RATIONALS.sub(c.A[i][j], rho if i == j else 0)
-                  for j in range(c.dim)] for i in range(c.dim)]
-            pts.extend(_nullspace(RATIONALS, M))
-        return pts
-    if not is_invertible(F, c.A):
-        raise DomainError("matrix must be invertible")
-    if c.sigma % max(F.n, 1) == 0:
-        poly = char_poly(F, c.A)
-        pts = set()
-        for rho in gf.roots_in_field(poly, F):
-            M = [[F.sub(c.A[i][j], rho if i == j else 0)
-                  for j in range(c.dim)] for i in range(c.dim)]
-            basis = _nullspace(F, M)
-            # every projective point of the eigenspace is fixed
-            for coeffs in itertools.product(range(F.q), repeat=len(basis)):
-                if not any(coeffs):
-                    continue
-                vec = [0] * c.dim
-                for s, b in zip(coeffs, basis):
-                    for k in range(c.dim):
-                        vec[k] = F.add(vec[k], F.mul(s, b[k]))
-                norm = _normalize(F, vec)
-                if norm:
-                    pts.add(norm)
-        return sorted(pts)
-    return fixed_points_scan(c)
-
-
-def fixed_points_scan(c):
-    """Exhaustive fixed-point scan over the projective points (oracle)."""
-    F = c.field
-    pts = []
-    for p in _proj_points(F, c.dim):
-        img = apply_collineation(c, p)
-        if _normalize(F, img) == p:
-            pts.append(p)
-    return pts
-

@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^n) at desk scale, plus polynomial root finding.
+"""Exact arithmetic in GF(p^n) at desk scale.
 
 Field elements are encoded as integers in [0, p^n): the coefficient vector
 (c_0, ..., c_{n-1}) of the residue class mod the field's modulus becomes
@@ -12,16 +12,13 @@ a*b = exp[(log a + log b) mod (q-1)].  Polynomial products serve only the
 bootstrap that builds those tables (`primitive_element` and the fill's
 product tables), and prime fields reduce mod p directly.  Addition is XOR
 of the codes for p = 2 and a digit loop for odd p (DECISIONS.md, "Field
-arithmetic on the log tables").
-
-Root finding is an exhaustive scan (the size cap is 2^20); over the
-rationals only the rational root theorem is used.
+arithmetic on the log tables").  Negation, Frobenius and polynomial roots
+serve only the collineation fixed points, and live in `collineations`.
 """
 
 import itertools
 import operator
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, CapError
@@ -205,19 +202,6 @@ class GF:
             mult *= p
         return out
 
-    def neg(self, a):
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def _tables(self):
         """(exp, log) of `log_tables`, kept on the field after the first
         call; n > 1 only."""
@@ -266,9 +250,6 @@ class GF:
             e >>= 1
         return out
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def mult_order(self, a):
         """The order of a in F^x: q - 1 divided by each prime r while
         a^(k/r) = 1, by `_poly_pow`, so no log tables are built."""
@@ -288,14 +269,6 @@ class GF:
             if all(self._poly_pow(a, c) != 1 for c in cofactors):
                 return a
         raise DomainError("no primitive element found")  # unreachable
-
-    # -- polynomial evaluation / roots ---------------------------------------
-    def eval_poly(self, coeffs, x):
-        """Evaluate a polynomial with integer-coded coefficients at x."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
 
     def spec_string(self):
         return f"gf:p={self.p},n={self.n}"
@@ -353,60 +326,6 @@ def log_tables(F):
         raise DomainError(f"{g} does not generate the units of {F!r}: the "
                           "log tables would have holes")
     return g, exp, log
-
-
-def roots_in_field(coeffs, F):
-    """All roots in F of the polynomial with integer-coded coefficients.
-
-    Exhaustive scan; every root is re-verified by evaluation."""
-    coeffs = tuple(coeffs)
-    if not any(coeffs):
-        raise DomainError("zero polynomial")
-    if len(poly_trim(coeffs)) - 1 < 1:
-        raise DomainError("degree must be >= 1")
-    return [a for a in F.elements() if F.eval_poly(coeffs, a) == 0]
-
-
-def rational_roots(coeffs):
-    """Roots in Q of a polynomial with Fraction/int coefficients.
-
-    Rational root theorem on the cleared-denominator form; exact arithmetic."""
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise DomainError("zero polynomial")
-    if len(coeffs) - 1 < 1:
-        raise DomainError("degree must be >= 1")
-    from math import lcm
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        # x = 0 is a root of the original iff constant term was 0
-    a0 = ints[0]
-    an = ints[-1]
-    roots = set()
-    if coeffs[0] == 0:
-        roots.add(Fraction(0))
-
-    def divisors(k):
-        k = abs(k)
-        out = []
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.append(d)
-                out.append(k // d)
-            d += 1
-        return out
-
-    for r in divisors(a0):
-        for s in divisors(an):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
 
 
 def singer_divisibility(p, i, j):

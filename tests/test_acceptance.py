@@ -15,7 +15,8 @@ import time
 from contextlib import redirect_stdout, redirect_stderr
 from math import gcd
 
-from singer import cli, diffsets, f1, geometry, gf, hyper
+from singer import (cli, collineations, diffsets, f1, geometry, gf, hyper,
+                    survey)
 from singer.errors import DomainError
 from singer.groups import Cyclic, parse_group, has_involution
 
@@ -220,27 +221,29 @@ def test_criterion_8_fixed_point_lemma():
         total = 0
         for flat in itertools.product(range(F.q), repeat=dim * dim):
             A = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
-            if not geometry.is_invertible(F, A):
+            if not collineations.is_invertible(F, A):
                 continue
             total += 1
-            c = geometry.Collineation(F, A)
-            has_fix = bool(geometry.fixed_points(c))
-            has_root = bool(gf.roots_in_field(geometry.char_poly(F, A), F))
+            c = collineations.Collineation(F, A)
+            has_fix = bool(collineations.fixed_points(c))
+            has_root = bool(collineations.roots_in_field(
+                collineations.char_poly(F, A), F))
             if has_fix != has_root:
                 mismatches.append((F.q, A))
-            if geometry.fixed_points(c) != geometry.fixed_points_scan(c):
+            if (collineations.fixed_points(c)
+                    != collineations.fixed_points_scan(c)):
                 mismatches.append((F.q, A, "scan"))
         counts[(F.q, dim)] = total
     # Singer cycle: companion matrix of x^3 + x + 1 over GF(2)
     F2 = gf.GF(2, 1)
-    c = geometry.Collineation(F2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    c = collineations.Collineation(F2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
     orbit = set()
     x = (1, 0, 0)
     for _ in range(7):
         orbit.add(x)
-        x = geometry._normalize(F2, geometry.apply_collineation(c, x))
+        x = geometry._normalize(F2, collineations.apply_collineation(c, x))
     cycle_ok = len(orbit) == 7 and x == (1, 0, 0) \
-        and geometry.fixed_points(c) == []
+        and collineations.fixed_points(c) == []
     dt = time.time() - t0
     # the invertible matrix counts are group orders: 168 = |GL(3,2)| =
     # 7*6*4 and 48 = |GL(2,3)| = 8*6; see DECISIONS.md
@@ -294,7 +297,7 @@ def test_criterion_10_f1_suite():
         problems.append(("chain",))
     surveys = {}
     for m, n in pairs:
-        out = f1.regular_subgroup_survey(m, n)
+        out = survey.regular_subgroup_survey(m, n)
         surveys[(m, n)] = out["mode"]
         if not out["confirmed"]:
             problems.append(("survey", m, n, out.get("counterexamples")))

@@ -296,6 +296,18 @@ def test_lemma_cap(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_lemma_refuses_an_empty_sweep(tmp_path, capsys):
+    """`--verify-only` rebuilds a `lemma` payload from (p, max), so a
+    payload with max below 1 is refused like the command."""
+    path = tmp_path / "lemma.json"
+    for top in (0, -5):
+        path.write_text(json.dumps({"p": 2, "max": top, "table": [],
+                                    "failures": []}))
+        code, out, err = run(["--verify-only", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: max must be >= 1, not {top}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "classical",                  # --q missing
     "classical --q x",
@@ -304,6 +316,10 @@ def test_lemma_cap(tmp_path, capsys):
     "hyper classify --n 7",
     "hyper quotient --p 3 --ext 2 --generators 9",    # not in GF(9)
     "hyper quotient --p 3 --ext 2 --generators -1",
+    "f1 --m 3 --chain 0,3",       # was a ZeroDivisionError traceback
+    "f1 --m 3 --chain 2,-4",
+    "lemma --p 2 --max -5",       # was exit 0 over an empty table
+    "lemma --p 2 --max 0",
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, out, err = run(argv.split(), capsys)
@@ -645,8 +661,9 @@ def test_quotient_command_builds_the_table_once(capsys, monkeypatch):
 
 def test_import_loads_only_what_the_commands_run():
     """Every command pays for `import singer.cli` in a fresh interpreter,
-    so the import must not load dataclasses (which loads inspect) or
-    string, which no command needs."""
+    so the import must not load what no command needs: dataclasses
+    (which loads inspect), string, fractions (with decimal and numbers),
+    or the collineation and survey modules, which only tests run."""
     probe = ("import sys; before = set(sys.modules); import singer.cli; "
              "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -654,4 +671,6 @@ def test_import_loads_only_what_the_commands_run():
                             capture_output=True, text=True,
                             check=True).stdout.split()
     assert "singer.cli" in loaded
-    assert not {"dataclasses", "inspect", "string"} & set(loaded), loaded
+    assert not {"dataclasses", "inspect", "string", "fractions", "decimal",
+                "numbers", "singer.collineations",
+                "singer.survey"} & set(loaded), loaded

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
-from singer import f1
+from singer import f1, survey
 from singer.groups import closure
 
 
@@ -131,22 +131,22 @@ def test_direct_limit_chains():
 
 def test_fiber_stabilizer_cyclic():
     A = f1.singer_first(2, 3)
-    assert f1.fiber_stabilizer_cyclic(A.space, A.elements)
+    assert survey.fiber_stabilizer_cyclic(A.space, A.elements)
     B = f1.singer_general(f1.alternating_group(4))
-    assert f1.fiber_stabilizer_cyclic(B.space, B.elements)
+    assert survey.fiber_stabilizer_cyclic(B.space, B.elements)
 
 
 def test_survey_small_exhaustive():
-    out = f1.regular_subgroup_survey(1, 2)
+    out = survey.regular_subgroup_survey(1, 2)
     assert out["mode"] == "exhaustive" and out["confirmed"]
     assert out["regular_subgroups"] >= 1
-    out2 = f1.regular_subgroup_survey(2, 2)
+    out2 = survey.regular_subgroup_survey(2, 2)
     assert out2["mode"] == "exhaustive" and out2["confirmed"]
     assert not out2["counterexamples"]
 
 
 def test_survey_structural_gate():
-    out = f1.regular_subgroup_survey(3, 6)
+    out = survey.regular_subgroup_survey(3, 6)
     assert out["mode"] == "structural" and out["confirmed"]
 
 
