@@ -350,9 +350,12 @@ def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
 
     Groups with an involution are refused outright (an abelian one can
     never carry a planar Singer action); general backends get the same
-    squares check as a precondition."""
+    squares check as a precondition.  A search bound below 1 admits no
+    candidate, so it is refused here, not in each step."""
     if num_targets < 1:
         raise DomainError("need at least one target")
+    if search_bound < 1:
+        raise DomainError(f"the search bound must be >= 1, not {search_bound}")
     found, witness = has_involution(G)
     if found:
         raise DomainError(

@@ -1,10 +1,13 @@
 """Finite hyperfield algebra: axiom checks, the two-element hyperfield with
-1+1 = {0,1}, group algebras over it, unit-orbit quotients of finite rings,
-and the correspondence with projective point-line geometries.
+1+1 = {0,1}, group algebras over it, quotients of finite fields by
+subgroups of their units, and the correspondence with projective
+point-line geometries.
 
-Hyperaddition tables are stored as bitmask-valued matrices.  The axioms
-are proved from generators of the units, and reversibility follows from
-the other axioms when the product commutes.  The checks of that proof,
+Hyperaddition tables are stored as bitmask-valued matrices.  A field
+quotient is built from the cosets of its unit subgroup and the Zech
+logarithms of the field's log tables.  The axioms are proved from
+generators of the units, and reversibility follows from the other axioms
+when the product commutes.  The checks of that proof,
 the witness scans that run when it does not apply or finds a failure, the
 fallback check of reversibility and the table maps of the isomorphism
 test all run on packed rows (`_backend._Packed`), one integer per row of
@@ -13,20 +16,15 @@ capped at 256.  The JSON codec and the geometry unpack each distinct mask
 once, one run of set bits at a time, and `from_json` packs each cell in
 one pass."""
 
-import operator
-from math import gcd, lcm
+from math import lcm
 
-from .errors import DomainError, CapError, BoundedFailure
+from .errors import DomainError, CapError
 from . import gf
-from .groups import closure, cyclic_generator, subgroup_generators
+from .groups import cyclic_generator, subgroup_generators
 from ._backend import _Packed, assoc_witness, distrib_witness
 from .geometry import IncidenceStructure, verify_plane
 
 CARRIER_CAP = 256
-# additions of a ring element and an orbit element that quotient_hyperring
-# may make.  The unit group's closure and the orbits add |G| + |R| products,
-# so GF(2^20) by its whole unit group, the largest accepted, takes about 5 s
-ORBIT_SUM_BUDGET = 1 << 21
 _INDICES = list(range(CARRIER_CAP))     # the carrier indices, sliced by _bits
 
 
@@ -342,121 +340,81 @@ def k_algebra(G):
 
 
 class QuotientSpec:
-    """Finite ring, a gf.GF or ("zmod", m), with a unit subgroup given by
-    generators (ring element codes)."""
+    """A finite field F (a `gf.GF`) and the subgroup G of F^x that the
+    generators (element codes) generate.
 
-    def __init__(self, ring, generators):
-        self.ring, self.generators = ring, generators
-        # ring_add and ring_mul are the ring's own operations, chosen once
-        if isinstance(ring, gf.GF):
-            # in characteristic 2 the sum of two codes is their XOR
-            self.ring_add = operator.xor if ring.p == 2 else ring.add
-            self.ring_mul = ring.mul
-        else:
-            m = ring[1]
-            self.ring_add = lambda a, b: (a + b) % m
-            self.ring_mul = lambda a, b: (a * b) % m
+    F^x is cyclic, so G is its one subgroup of order |G|, the lcm of the
+    generators' orders (`GF.mult_order`, which builds no log tables).  The
+    generators are checked and |G| is found here, once; two specs are
+    equal when they name the same field and the same |G|, since the
+    quotient depends on nothing else."""
+
+    def __init__(self, field, generators):
+        if not isinstance(field, gf.GF):
+            raise DomainError("a unit quotient needs a finite field")
+        gens = tuple(generators)
+        for g in gens:
+            field.validate(g)
+            if g == 0:
+                raise DomainError("0 is not a unit")
+        self.field, self.generators = field, gens
+        self.order = lcm(*map(field.mult_order, gens))
 
     def __eq__(self, other):
-        return (type(other) is type(self) and self.ring == other.ring
-                and self.generators == other.generators)
+        return (type(other) is type(self) and self.field == other.field
+                and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.ring, self.generators))
-
-    def ring_elements(self):
-        if isinstance(self.ring, gf.GF):
-            return range(self.ring.q)
-        return range(self.ring[1])
-
-    def _units(self):
-        """The generators, each checked to be a unit of the ring."""
-        gens = tuple(self.generators)
-        for g in gens:
-            if isinstance(self.ring, gf.GF):
-                self.ring.validate(g)
-                if g == 0:
-                    raise DomainError("0 is not a unit")
-            elif gcd(g, self.ring[1]) != 1:
-                raise DomainError(f"{g} is not a unit mod {self.ring[1]}")
-        return gens
-
-    def unit_group(self):
-        """Closure of the generators under multiplication."""
-        return sorted(closure(self.ring_mul, self._units(), [1]))
-
-    def unit_order(self):
-        """|<generators>|.  F^x is cyclic, so in a field it is the lcm of
-        the generators' orders, found without the closure or the field's
-        log tables (`GF.mult_order`)."""
-        if isinstance(self.ring, gf.GF):
-            return lcm(*map(self.ring.mult_order, self._units()))
-        return len(self.unit_group())
+        return hash((self.field, self.order))
 
 
 def quotient_hyperring(Q):
-    """Unit-orbit quotient of a finite ring: carrier = G-orbits, with
-    xG + yG = {xg + yh} as orbits and xG * yG = xyG.
+    """The quotient F/G of a field by a subgroup of its units: carrier {0}
+    and the cosets xG, with xG * yG = xyG and xG + yG = {(xg + yh)G}.
 
-    For a unit g, xg + yh = g(x + y hg^-1) lies in the orbit of
-    x + y hg^-1, and hg^-1 runs over G with h, so
-    xG + yG = {(x + w)G : w in yG}: one orbit of additions per sum.  Both
-    ring kinds are commutative, so each pair x <= y is computed once.
-
-    Orbit i, in the order of least elements, is added to orbits 0..i, so
-    the table takes sum_i (i + 1)|O_i| ring additions.  The carrier cap
-    and the budget on that count come before the unit group's closure,
-    whose first product loads a field's log tables.  The budget leaves out
-    the |G| + |R| products of the closure and orbits (`ORBIT_SUM_BUDGET`)."""
-    elements = Q.ring_elements()
-    add, mul = Q.ring_add, Q.ring_mul
-    order = Q.unit_order()
-    # an orbit has at most |G| elements, so there are at least |R|/|G|
-    if -(-len(elements) // order) > CARRIER_CAP:
+    With g the primitive element of `gf.log_tables` and d = (q - 1)/|G|,
+    G = <g^d>, and coset i is C_i = g^i G for 0 <= i < d, carried after {0}
+    in the order of least codes.  C_i C_j = C_(i+j mod d), and
+    C_i + C_j = g^i (1 + g^(j-i) G) G.  So row i of the sums is one list of
+    sets S_k, k = j - i mod d, turned by i: S_k holds the cosets of the
+    Zech sums 1 + g^(k + dt), and {0} joins it when 1 + g^e = 0 for one of
+    those e (`DECISIONS.md`, "Field quotients from cosets and Zech
+    logarithms").  1 + g^e is read off the tables: adding 1 changes only
+    the lowest base-p digit of a code.  The carrier cap comes before the
+    log tables."""
+    F = Q.field
+    p, d = F.p, (F.q - 1) // Q.order
+    if d + 1 > CARRIER_CAP:
         raise CapError("carrier cap exceeded")
-    if _orbit_sums(len(elements), order) > ORBIT_SUM_BUDGET:
-        raise BoundedFailure(f"the quotient by a unit group of order "
-                             f"{order} needs more than {ORBIT_SUM_BUDGET} "
-                             f"orbit sums")
-    G = Q.unit_group()
-    orbit_of = {}
-    orbits = []
-    for x in elements:
-        if x in orbit_of:
-            continue
-        orb = sorted({mul(x, g) for g in G})
-        idx = len(orbits)
-        orbits.append(orb)
-        for y in orb:
-            orbit_of[y] = idx
-    n = len(orbits)
-    if n > CARRIER_CAP:
-        raise CapError("carrier cap exceeded")
-    labels = ["{" + ",".join(map(str, orb)) + "}" for orb in orbits]
-    prod = [[0] * n for _ in range(n)]
-    hyperadd = [[0] * n for _ in range(n)]
-    for x in range(n):
-        rx = orbits[x][0]
-        for y in range(x, n):
-            prod[x][y] = prod[y][x] = orbit_of[mul(rx, orbits[y][0])]
-            mask = 0
-            for w in orbits[y]:
-                mask |= 1 << orbit_of[add(rx, w)]
-            hyperadd[x][y] = hyperadd[y][x] = mask
-    T = HyperTable(labels, orbit_of[0], orbit_of[1], prod, hyperadd)
+    _, exp, log = gf.log_tables(F)
+    cosets = [sorted(exp[i::d]) for i in range(d)]
+    # coset i at carrier index at[i]; disjoint cosets sort by least code
+    order = sorted(range(d), key=cosets.__getitem__)
+    at = [0] * d
+    for x, i in enumerate(order, 1):
+        at[i] = x
+    # the code p - 1 is -1, and 1 + (-1) = 0 lies in no coset
+    sums = [{log[c + 1 - p if c % p == p - 1 else c + 1] % d
+             for c in exp[k::d] if c != p - 1} for k in range(d)]
+    minus = log[p - 1] % d
+    n = d + 1
+    bits = [1 << x for x in at]
+    prod = [[0] * n] + [None] * d
+    hyperadd = [[1 << x for x in range(n)]] + [None] * d
+    for i, x in enumerate(at):
+        # C_i + C_(i+k) for each k, then moved to column j = i + k
+        turned = bits[i:] + bits[:i]
+        row = [sum(map(turned.__getitem__, S)) for S in sums]
+        row[minus] |= 1
+        row = row[d - i:] + row[:d - i]
+        hyperadd[x] = [1 << x] + [row[j] for j in order]
+        products = at[i:] + at[:i]
+        prod[x] = [0] + [products[j] for j in order]
+    labels = ["{0}"] + ["{" + ",".join(map(str, cosets[i])) + "}"
+                        for i in order]
+    T = HyperTable(labels, 0, at[0], prod, hyperadd)
     T.quotient = Q
     return T
-
-
-def _orbit_sums(size, order):
-    """The ring additions of `quotient_hyperring` on a ring of `size`
-    elements and a unit group of `order`, when every nonzero orbit has
-    `order` elements, as in a field: orbit 0 is {0}, and orbit i >= 1 is
-    added i + 1 times.  Smaller orbits only make more orbits, at higher
-    indices, so for any ring this is a lower bound."""
-    full, rest = divmod(size - 1, order)
-    return (1 + order * ((full + 1) * (full + 2) // 2 - 1)
-            + rest * (full + 2))
 
 
 def field_quotient_table(q, m):
@@ -489,8 +447,8 @@ def field_quotient_spec(q, m):
 def contains_krasner(T):
     """Whether {0bar, 1bar} is closed as a sub-hypertable, i.e. the
     two-element hyperfield maps into T in the inclusion sense
-    (1+1 a subset of {0,1}).  For unit-orbit quotients this is equivalent
-    to {0} + G being a subfield of the ring."""
+    (1+1 a subset of {0,1}).  For field quotients this is equivalent to
+    {0} + G being a subfield of the field."""
     z, o = T.zero, T.one
     sub = (1 << z) | (1 << o)
     for x in (z, o):
@@ -503,16 +461,12 @@ def contains_krasner(T):
 
 
 def subfield_test(Q):
-    """Whether {0} union the unit subgroup G is a subfield of the ring.
+    """Whether {0} union the unit subgroup G is a subfield of the field.
 
     GF(q)^x is cyclic: its one subgroup of order p^d - 1 is GF(p^d)^x when
     d | n, and p^d - 1 divides q - 1 only then.  So {0} u G is a subfield
-    exactly when |G| + 1 (at most q) divides q.  Z/m is scanned by pairs."""
-    if isinstance(Q.ring, gf.GF):
-        return Q.ring.q % (Q.unit_order() + 1) == 0
-    S = {0} | set(Q.unit_group())
-    add, mul = Q.ring_add, Q.ring_mul
-    return all(add(a, b) in S and mul(a, b) in S for a in S for b in S)
+    exactly when |G| + 1 (at most q) divides q."""
+    return Q.field.q % (Q.order + 1) == 0
 
 
 def is_k_vectorspace(T):
@@ -652,8 +606,9 @@ def classify_extension(T, rep=None):
     GF(q^m)/GF(q)^x is PG(m - 1, q), with q + 1 points per line and
     (q^m - 1)/(q - 1) points.  An isomorphism maps lines to lines, so q and
     m are read off T's geometry and only that one quotient is compared.
-    A table that `quotient_hyperring` built from that quotient's own spec
-    is that quotient, so it is answered without building it again."""
+    The quotient depends only on its spec, (F, |G|), so a table that
+    `quotient_hyperring` built from a spec equal to that quotient's is
+    that quotient, and it is answered without building it again."""
     if rep is None:
         rep = check_axioms(T)
     if not rep.passed():

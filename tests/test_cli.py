@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from singer import cli, hyper
+from singer import cli, gf, hyper
 
 
 def run(argv, capsys):
@@ -73,7 +73,7 @@ def test_hyper_stdout_pinned(capsys):
 @pytest.mark.parametrize("argv", [
     "hyper quotient --p 2 --ext 20",              # 2^20 orbits of size 1
     "hyper quotient --p 4 --ext 10",              # orbits of size <= 3
-    # refused from the generators' orders, before the unit group's closure
+    # refused from the generators' orders, before the log tables
     "hyper quotient --p 2 --ext 20 --generators 1",
     "classical --q 100000000000031",              # a prime above 2^20
     "classical --q 3 --m 10000000",               # GF(3^(10^7 + 1))
@@ -320,6 +320,8 @@ def test_lemma_refuses_an_empty_sweep(tmp_path, capsys):
     "f1 --m 3 --chain 2,-4",
     "lemma --p 2 --max -5",       # was exit 0 over an empty table
     "lemma --p 2 --max 0",
+    "hughes --group integers --targets 3 --bound -1",  # was exit 3
+    "hughes --group integers --targets 3 --bound 0",
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, out, err = run(argv.split(), capsys)
@@ -648,15 +650,21 @@ def test_repeated_point_in_a_hypersum_refused(tmp_path, capsys):
 
 def test_quotient_command_builds_the_table_once(capsys, monkeypatch):
     """classify_extension answers `hyper quotient` from the table's own
-    QuotientSpec instead of building the quotient a second time."""
+    QuotientSpec instead of building the quotient a second time, also
+    when --generators names GF(q)^x: specs compare by (F, |G|).  In
+    GF(2^6), whose primitive element is 2, GF(4)^x is generated by 2^21."""
     builds = []
     build = hyper.quotient_hyperring
     monkeypatch.setattr(hyper, "quotient_hyperring",
                         lambda Q: builds.append(Q) or build(Q))
-    obj = payload(["hyper", "quotient", "--p", "5", "--ext", "3"], capsys)
-    assert obj["classification"] == {"case": "field-quotient", "q": 5,
-                                     "m": 3}
-    assert builds == [hyper.field_quotient_spec(5, 3)]
+    for argv, q, m in (("hyper quotient --p 5 --ext 3", 5, 3),
+                       ("hyper quotient --p 2 --ext 6 --generators "
+                        f"{gf.GF(2, 6).pow(2, 21)}", 4, 3)):
+        builds.clear()
+        obj = payload(argv.split(), capsys)
+        assert obj["classification"] == {"case": "field-quotient", "q": q,
+                                         "m": m}
+        assert builds == [hyper.field_quotient_spec(q, m)]
 
 
 def test_import_loads_only_what_the_commands_run():

@@ -130,6 +130,10 @@ def test_hughes_refusals():
         ds.hughes_build(Cyclic(4), 2)
     with pytest.raises(DomainError, match="involution"):
         ds.hughes_build(Abelian((2, 6)), 2)
+    # a bound below 1 admits no candidate for the first target
+    for bound in (0, -1):
+        with pytest.raises(DomainError, match="search bound"):
+            ds.hughes_build(Integers(), 3, bound)
 
 
 def test_hughes_accepts_odd_cyclic():
