@@ -38,6 +38,14 @@ def _emit(payload, out=None):
     print(text)
 
 
+def _finish(payload, out, ok, passed, failed):
+    """Emit the payload, log `passed` or `failed` and return the exit
+    code of a command whose certificates all passed (`ok`) or not."""
+    _emit(payload, out)
+    _log(passed if ok else failed)
+    return EXIT_OK if ok else EXIT_VERIFY
+
+
 # ---------------------------------------------------------------------------
 
 def _classical(q, m):
@@ -70,12 +78,8 @@ def _classical(q, m):
 
 def cmd_classical(args):
     payload, ok = _classical(args.q, args.m)
-    _emit(payload, args.out)
-    if ok:
-        _log("all certificates passed")
-        return EXIT_OK
-    _log("verification failure")
-    return EXIT_VERIFY
+    return _finish(payload, args.out, ok, "all certificates passed",
+                   "verification failure")
 
 
 def cmd_hughes(args):
@@ -125,9 +129,8 @@ def cmd_hyper(args):
         payload["contains_krasner"] = hyper.contains_krasner(T)
         payload["subfield_test"] = hyper.subfield_test(T.quotient)
         if payload["contains_krasner"] != payload["subfield_test"]:
-            _log("criterion mismatch: table closure vs subfield test")
-            _emit(payload, args.out)
-            return EXIT_VERIFY
+            return _finish(payload, args.out, False, None, "criterion "
+                           "mismatch: table closure vs subfield test")
         if hyper.is_k_vectorspace(T):
             payload["classification"] = hyper.classify_extension(T, rep)
     elif args.hyper_cmd == "classify":
@@ -147,18 +150,11 @@ def cmd_hyper(args):
         back = hyper.roundtrip_table(T)
         same = hyper.tables_equal(T, back)
         payload["roundtrip_exact"] = same
-        _emit(payload, args.out)
-        if rep.passed() and plane_ok and same:
-            _log("roundtrip exact; all certificates passed")
-            return EXIT_OK
-        _log("roundtrip verification failure")
-        return EXIT_VERIFY
-    _emit(payload, args.out)
-    if rep.passed():
-        _log("axioms passed")
-        return EXIT_OK
-    _log("axiom failure")
-    return EXIT_VERIFY
+        return _finish(payload, args.out, rep.passed() and plane_ok and same,
+                       "roundtrip exact; all certificates passed",
+                       "roundtrip verification failure")
+    return _finish(payload, args.out, rep.passed(), "axioms passed",
+                   "axiom failure")
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +187,8 @@ def cmd_f1(args):
             raise DomainError("chains use the diagonal construction; "
                               "the fiber group must be sharply transitive")
         payload["limit"] = f1.direct_limit_demo(args.m, chain, S)
-        _emit(payload, args.out)
-        if payload["limit"]["coherent"]:
-            _log("chain coherent")
-            return EXIT_OK
-        _log("chain incoherent")
-        return EXIT_VERIFY
+        return _finish(payload, args.out, payload["limit"]["coherent"],
+                       "chain coherent", "chain incoherent")
     if args.n is None:
         raise DomainError("need --n or --chain")
     kind, S = _fiber_group(args.S, args.m)
@@ -207,12 +199,9 @@ def cmd_f1(args):
     cert = f1.verify_regular(A)
     payload.update({"n": args.n, "construction": A.construction,
                     "order": A.order, "regular": cert.to_json()})
-    _emit(payload, args.out)
-    if cert.ok:
-        _log(f"group of order {A.order} regular on {A.space.npoints} points")
-        return EXIT_OK
-    _log("regularity failure")
-    return EXIT_VERIFY
+    return _finish(payload, args.out, cert.ok,
+                   f"group of order {A.order} regular on "
+                   f"{A.space.npoints} points", "regularity failure")
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +249,9 @@ def _lemma(p, top):
 
 def cmd_lemma(args):
     payload, ok = _lemma(args.p, args.max)
-    _emit(payload, args.out)
-    if not ok:
-        _log(f"{len(payload['failures'])} asserted cases failed")
-        return EXIT_VERIFY
-    _log("all asserted divisibility cases hold")
-    return EXIT_OK
+    return _finish(payload, args.out, ok,
+                   "all asserted divisibility cases hold",
+                   f"{len(payload['failures'])} asserted cases failed")
 
 
 # ---------------------------------------------------------------------------

@@ -106,28 +106,28 @@ def certify(S):
     cert = verify_partial(S)
     if not cert:
         raise DomainError(f"not a partial difference set: {cert.detail}")
-    return PartialDifferenceSet(S.group, S.elements, True)
+    # S's constructor already validated its elements and their distinctness
+    return PartialDifferenceSet._trusted(S.group, S.elements, True)
 
 
 def verify_perfect(S):
-    """Certificate iff the difference map is a bijection onto G \\ {e}."""
+    """Certificate iff the difference map is a bijection onto G \\ {e}.
+
+    `verify_partial` decides injectivity and reports the first collision.
+    An injective map onto k(k - 1) of the v - 1 nonidentity elements is a
+    bijection exactly when k(k - 1) = v - 1, by pigeonhole."""
     G = S.group
     if G.order is None:
         raise DomainError("perfect difference sets require a finite group")
-    pairs = _difference_pairs(S)
-    for d, ps in pairs.items():
-        if len(ps) > 1:
-            return Certificate(False, {
-                "difference": G.canon(d),
-                "pairs": [[G.canon(a), G.canon(b)] for a, b in ps[:2]],
-            })
-    e = G.identity
-    missing = [g for g in G.elements() if g != e and g not in pairs]
-    if missing:
-        return Certificate(False, {"missing": G.canon(missing[0])})
+    cert = verify_partial(S)
+    if not cert:
+        return cert
     k = len(S.elements)
-    assert G.order == k * k - k + 1, "ordered pair count must match G \\ {e}"
-    return Certificate(True, {"k": k, "v": G.order})
+    if k * (k - 1) == G.order - 1:
+        return Certificate(True, {"k": k, "v": G.order})
+    reached = differences(S) | {G.identity}
+    missing = next(g for g in G.elements() if g not in reached)
+    return Certificate(False, {"missing": G.canon(missing)})
 
 
 def classical_singer(q, m):

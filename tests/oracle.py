@@ -4,10 +4,13 @@ Each function here is the plain definition of what a kernel decides, with
 no reduction: the tests hold the kernels to these answers, witnesses
 included, at sizes where the references run in a fraction of a second.
 The difference maps and the free-word product are here as the
-one-product-at-a-time loops that set operations replaced.
+one-product-at-a-time loops that set operations replaced, and the plane
+and perfect-set certificates as the searches that their axioms made
+redundant.
 """
 
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 
@@ -83,6 +86,66 @@ def coverage_witness(npoints, line_masks):
             if not any(m >> p & 1 and m >> q & 1 for m in line_masks):
                 return (p, q)
     return None
+
+
+def verify_plane(npoints, line_masks):
+    """`geometry.verify_plane(...).to_json()` from the definition: the pair
+    axioms by `line_pair_witness` and `coverage_witness` above, a scan of
+    all four-point subsets for one with no three points on a line, then
+    uniform line sizes n + 1 and n^2 + n + 1 points."""
+    checks = {"two-points-one-line": True, "two-lines-one-point": True,
+              "quadrangle-exists": True}
+
+    def failed(check, counterexample):
+        if check:
+            checks[check] = False
+        return {"ok": False, "order": None, "checks": checks,
+                "counterexample": counterexample}
+
+    w = line_pair_witness(line_masks, 1, 1)
+    if w is not None:
+        i, j, c = w
+        if c == 0:
+            return failed("two-lines-one-point",
+                          {"lines": [i, j], "common_points": 0})
+        common = line_masks[i] & line_masks[j]
+        p, q = [x for x in range(npoints) if common >> x & 1][:2]
+        return failed("two-points-one-line",
+                      {"points": [p, q], "lines": [i, j]})
+    w = coverage_witness(npoints, line_masks)
+    if w is not None:
+        return failed("two-points-one-line", {"points": list(w), "lines": []})
+
+    def collinear(*pts):
+        return any(all(m >> x & 1 for x in pts) for m in line_masks)
+
+    if not any(not any(collinear(*t) for t in combinations(quad, 3))
+               for quad in combinations(range(npoints), 4)):
+        return failed("quadrangle-exists", {"points": []})
+    sizes = sorted({m.bit_count() for m in line_masks})
+    if len(sizes) != 1:
+        return failed(None, {"line_sizes": sizes})
+    n = sizes[0] - 1
+    if npoints != n * n + n + 1:
+        return failed(None, {"points": npoints, "expected": n * n + n + 1})
+    return {"ok": True, "order": n, "checks": checks, "counterexample": None}
+
+
+def verify_perfect(G, els):
+    """(ok, detail) of `diffsets.verify_perfect` from the definition: the
+    first difference, in `difference_pairs` order, with two pairs; else
+    the first nonidentity element that is no difference; else a bijection
+    onto G minus the identity."""
+    pairs = difference_pairs(G, els)
+    for d, ps in pairs.items():
+        if len(ps) > 1:
+            return False, {
+                "difference": G.canon(d),
+                "pairs": [[G.canon(a), G.canon(b)] for a, b in ps[:2]]}
+    for g in G.elements():
+        if g != G.identity and g not in pairs:
+            return False, {"missing": G.canon(g)}
+    return True, {"k": len(els), "v": G.order}
 
 
 def differences(G, els):

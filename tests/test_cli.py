@@ -269,6 +269,24 @@ def test_f1_usage(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, code, last", [
+    ("classical --q 2", 0, "all certificates passed"),
+    ("hyper krasner", 0, "axioms passed"),
+    ("hyper kalg --n 3", 2, "axiom failure"),
+    ("hyper quotient --p 4 --ext 2", 0, "axioms passed"),
+    ("hyper roundtrip --p 3 --ext 3", 0,
+     "roundtrip exact; all certificates passed"),
+    ("f1 --m 2 --n 3", 0, "group of order 9 regular on 9 points"),
+    ("f1 --m 2 --chain 1,2", 0, "chain coherent"),
+    ("lemma --p 2 --max 5", 0, "all asserted divisibility cases hold"),
+])
+def test_command_tails(argv, code, last, capsys):
+    """Each command emits its payload, then logs one verdict line."""
+    got, out, err = run(argv.split(), capsys)
+    assert got == code
+    assert json.loads(out) and err.splitlines()[-1] == last
+
+
 def test_lemma(capsys):
     obj = payload(["lemma", "--p", "2", "--max", "8"], capsys)
     assert obj["failures"] == []

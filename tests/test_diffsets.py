@@ -4,10 +4,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from singer.errors import DomainError, BoundedFailure
-from singer.groups import Cyclic, Abelian, Integers, Free
+from singer.groups import Cyclic, Abelian, Integers, Free, Symmetric
 from singer import diffsets as ds, gf
 
 
@@ -35,6 +36,32 @@ def test_verify_perfect():
     assert not c.ok
     with pytest.raises(DomainError):
         ds.verify_perfect(pds(Integers(), [0, 1]))
+
+
+PERFECT_GROUPS = [Cyclic(7), Cyclic(13), Cyclic(21), Abelian((3, 3)),
+                  Abelian((2, 4)), Symmetric(3), Symmetric(4)]
+
+
+@st.composite
+def finite_subsets(draw):
+    G = draw(st.sampled_from(PERFECT_GROUPS))
+    els = draw(st.lists(st.sampled_from(list(G.elements())), unique=True,
+                        max_size=7))
+    return G, tuple(els)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(finite_subsets())
+@example((Cyclic(7), (0, 1, 3)))
+@example((Cyclic(7), (3, 0, 1)))
+@example((Cyclic(7), (0, 1, 2)))
+@example((Cyclic(13), (0, 1, 3, 9)))
+@example((Cyclic(21), (3, 6, 7, 12, 14)))
+@example((Cyclic(21), (0, 1, 2, 3, 4)))
+def test_verify_perfect_matches_the_definition(case):
+    G, els = case
+    cert = ds.verify_perfect(pds(G, els))
+    assert (cert.ok, cert.detail) == oracle.verify_perfect(G, els)
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 4), (4, 5), (5, 6), (7, 8),

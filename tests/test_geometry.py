@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
+
 from singer.errors import CapError, DomainError
 from singer.groups import (Abelian, Cyclic, FieldQuotient, Free, Integers,
                            Symmetric, subgroup_generators)
@@ -118,6 +120,59 @@ def test_pg_plane_axioms():
     for q in (2, 3, 4, 5):
         cert = geo.verify_plane(geo.pg_space(2, q))
         assert cert.ok and cert.order == q
+
+
+# verify_plane against the definition: pair axioms, then a quadrangle
+# among all four-point subsets, then the line sizes
+
+def _near_pencil(n):
+    """n points: one line of n - 1 of them, and each of those joined to
+    the last point by a line of two."""
+    return geo.IncidenceStructure(
+        n, [tuple(range(n - 1))] + [(i, n - 1) for i in range(n - 1)])
+
+
+def _plane_variants(q):
+    """PG(2, q), and it with a line dropped, a point added or a point
+    deleted, and with a line and one more point as a further line."""
+    gamma = geo.pg_space(2, q)
+    v, lines = gamma.npoints, gamma.lines
+    yield gamma
+    for i in (0, len(lines) // 2, len(lines) - 1):
+        yield geo.IncidenceStructure(v, lines[:i] + lines[i + 1:])
+        p = min(set(range(v)) - set(lines[i]))
+        yield geo.IncidenceStructure(v, lines + [lines[i] + (p,)])
+    yield geo.IncidenceStructure(v + 1, lines)
+    yield geo.IncidenceStructure(v + 1, lines[1:] + [lines[0] + (v,)])
+    for p in (0, v // 2, v - 1):
+        yield geo.IncidenceStructure(v - 1, [
+            tuple(x - (x > p) for x in line if x != p) for line in lines])
+
+
+_SMALL_STRUCTURES = (
+    [_near_pencil(n) for n in range(2, 9)]
+    + [geo.IncidenceStructure(n, [tuple(range(n))]) for n in range(6)]
+    + [geo.IncidenceStructure(3, [(0, 1), (0, 2), (1, 2)]),
+       geo.IncidenceStructure(0, []),
+       geo.IncidenceStructure(1, [(0,)]),
+       geo.IncidenceStructure(2, [(0, 1), (1,)])])
+
+
+@pytest.mark.parametrize("gamma", [g for q in (2, 3, 4, 5)
+                                   for g in _plane_variants(q)]
+                         + _SMALL_STRUCTURES, ids=repr)
+def test_verify_plane_matches_the_definition(gamma):
+    assert (geo.verify_plane(gamma).to_json()
+            == oracle.verify_plane(gamma.npoints, gamma.masks))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_near_pencils_have_no_quadrangle(n):
+    cert = geo.verify_plane(_near_pencil(n))
+    assert cert.checks == {"two-points-one-line": True,
+                           "two-lines-one-point": True,
+                           "quadrangle-exists": False}
+    assert cert.counterexample == {"points": []} and cert.order is None
 
 
 def test_singer_action_on_fano():
