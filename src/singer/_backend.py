@@ -7,17 +7,15 @@ the axioms with it, and when a proof does not apply or fails,
 `assoc_witness` and `distrib_witness` find the first witness of the
 exhaustive scan over all triples from the same rows (`DECISIONS.md`,
 "Witnesses from packed rows; one kernel source").  `line_pair_witness`
-first decides "every two lines meet once" from the point stars, in
-O(incidences) big-int ORs, and runs its O(L^2) pairwise scan only when
+first decides "every two lines meet once" from the reach of each point,
+in O(incidences) big-int ORs, and runs its O(L^2) pairwise scan only when
 that does not hold.  `hyper` imports `geometry`, which imports this
 module, so the packed rows live here rather than in `hyper`.
 """
 
 
-from array import array
-from functools import reduce
 from itertools import accumulate, count, repeat
-from operator import add, or_
+from operator import add, mul
 
 # the one kernel implementation; perfbench/worker.py records it with each
 # round
@@ -153,38 +151,32 @@ def _points(mask):
 
 def lines_meet_once(line_masks):
     """Whether every two of the lines meet in exactly one point, decided
-    from the point stars: star(p) is the mask of the lines through p.
+    in one pass from reach(p), the OR of the lines through p, and deg(p),
+    the number of those lines.
 
-    For line i, the sum of |star(p)| over its points p counts each line j
-    once per common point, so it is |L_i| + sum over j != i of
-    |L_i & L_j|, and the union of those stars is the set of lines that
-    meet L_i.  When that union is all L lines, each of the L - 1 terms is
-    at least 1, and the sum is |L_i| + L - 1 exactly when each term is 1.
-    Every line is checked, so the answer is exhaustive; it costs
-    O(incidences) big-int ORs instead of L(L - 1)/2 ANDs.  The one input
-    it answers False without a bad pair is a single empty line."""
+    reach(p) is p and the union of L - {p} over the lines L through p, so
+    |reach(p)| - 1 <= sum of (|L| - 1) over them, with equality exactly
+    when no two of them share a second point.  Summed over the points on
+    a line, the two sides are equal exactly when every point's are: that
+    is when no two lines meet twice.  Each pair that meets once is then
+    counted at its one common point, so all L(L - 1)/2 pairs meet exactly
+    when the deg(p)(deg(p) - 1)/2 add up to it.  Every incidence is read,
+    so the answer is exhaustive; it costs one big-int OR per incidence
+    instead of L(L - 1)/2 ANDs (`DECISIONS.md`, "Line pairs from one
+    reach per point")."""
+    reach = [0] * max(line_masks, default=0).bit_length()
+    degree = [0] * len(reach)
+    twice = 0      # sum of |L| (|L| - 1) over the lines
+    for mask in line_masks:
+        k = mask.bit_count()
+        twice += k * (k - 1)
+        for p in _points(mask):
+            reach[p] |= mask
+            degree[p] += 1
     L = len(line_masks)
-    stars = [0] * max(line_masks, default=0).bit_length()
-    flat = array("I")   # the points of every line, line after line
-    ends = []
-    for j, mask in enumerate(line_masks):
-        start = len(flat)
-        flat.extend(_points(mask))
-        ends.append(len(flat))
-        bit = 1 << j
-        for p in flat[start:]:
-            stars[p] |= bit
-    degree = [star.bit_count() for star in stars]
-    every_line = (1 << L) - 1
-    start = 0
-    for end in ends:
-        points = flat[start:end]
-        if (sum(map(degree.__getitem__, points)) != end - start + L - 1
-                or reduce(or_, map(stars.__getitem__, points), 0)
-                != every_line):
-            return False
-        start = end
-    return True
+    on_a_line = len(degree) - degree.count(0)
+    return (sum(map(int.bit_count, reach)) - on_a_line == twice
+            and sum(map(mul, degree, degree)) - sum(degree) == L * (L - 1))
 
 
 def line_pair_witness(line_masks, lo, hi):

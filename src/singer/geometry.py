@@ -1,13 +1,14 @@
 """Finite incidence structures: plane axioms, PG(m, q) and Singer
 actions.  Collineation fixed points live in `collineations`.
 
-Incidence is stored as one bitmask of point indices per line.  The two
-pair axioms are scanned on those masks in `_backend`, whose line-pair
-kernel decides "two lines meet once" from the point stars; the quadrangle
-and the order of a plane then follow from its line sizes."""
+Incidence is stored as one bitmask of point indices per line.  The
+line-pair kernel of `_backend` decides "two lines meet once" on those
+masks from the reach of each point; coverage, the quadrangle and the
+order of a plane then follow from the line sizes."""
 
 import itertools
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, lshift, or_
 
 from .errors import DomainError, CapError, Certificate
 from . import gf
@@ -19,6 +20,11 @@ POINT_CAP = 10 ** 5
 # admits PG(10, 2) (2.1M) and PG(7, 3) (3.6M); PG(11, 2) would have 8.4M
 # and need gigabytes.
 INCIDENCE_CAP = 2 ** 22
+
+
+def _mask(points):
+    """The bitmask of an iterable of point indices."""
+    return reduce(or_, map(lshift, itertools.repeat(1), points), 0)
 
 
 class IncidenceStructure:
@@ -39,13 +45,12 @@ class IncidenceStructure:
         seen = set()
         self.masks = []
         for l in lines:
-            if not (isinstance(l, (list, tuple)) and all(
-                    type(p) is int and 0 <= p < npoints for p in l)):
+            if not (isinstance(l, (list, tuple))
+                    and set(map(type, l)) <= {int} and min(l, default=0) >= 0
+                    and max(l, default=-1) < npoints):
                 raise DomainError(f"line {l!r} is not a list of point "
                                   f"indices below {npoints}")
-            mask = 0
-            for p in l:
-                mask |= 1 << p
+            mask = _mask(l)
             if mask.bit_count() != len(l):
                 raise DomainError(f"repeated point in line {l!r}")
             if mask in seen:
@@ -54,6 +59,20 @@ class IncidenceStructure:
             self.lines.append(tuple(sorted(l)))
             self.masks.append(mask)
         self.meta = dict(meta or {})
+
+    @classmethod
+    def _trusted(cls, npoints, lines, meta):
+        """A structure from a builder whose lines are a list of sorted
+        tuples of distinct ints below npoints; each call site says why.  It
+        checks the point cap, and repeated lines, as an empty set gives."""
+        if npoints > POINT_CAP:
+            raise CapError(f"point cap {POINT_CAP} exceeded")
+        self = cls.__new__(cls)
+        self.npoints, self.lines, self.meta = npoints, lines, meta
+        self.masks = list(map(_mask, lines))
+        if len(set(self.masks)) != len(self.masks):
+            raise DomainError("repeated line")
+        return self
 
     @property
     def nlines(self):
@@ -96,9 +115,11 @@ class PlaneCertificate:
 def verify_plane(gamma):
     """Exhaustive check of the three projective-plane axioms.
 
-    The two pair axioms are the exhaustive kernel scans.  Once they hold,
-    the structure has a quadrangle exactly when it has two lines and each
-    line has at least three points: two points of one line, off its
+    Once the kernel scan finds every two lines meeting once, no point
+    pair is on two lines, so all are covered exactly when the lines hold
+    v(v - 1)/2 pairs; `coverage_witness` only names a pair that is not.
+    Then the structure has a quadrangle exactly when it has two lines and
+    each line has at least three points: two points of one line, off its
     common point with a second line, and two such points of the second
     line form one.  The structure is then a projective plane, so its
     lines have n + 1 points each and it has n^2 + n + 1 points
@@ -118,9 +139,10 @@ def verify_plane(gamma):
             cx = {"points": [p, q], "lines": [i, j]}
         return PlaneCertificate(False, None, checks, cx)
 
-    w = coverage_witness(gamma.npoints, gamma.masks)
-    if w is not None:
+    v = gamma.npoints
+    if sum(k * (k - 1) for k in map(len, gamma.lines)) != v * (v - 1):
         checks["two-points-one-line"] = False
+        w = coverage_witness(v, gamma.masks)
         return PlaneCertificate(False, None, checks,
                                 {"points": list(w), "lines": []})
 
@@ -143,11 +165,21 @@ def plane_from_difference_set(G, S):
         raise DomainError(f"difference set lives in {S.group.spec_string()}, "
                           f"not in {G.spec_string()}")
     els = list(G.elements())
-    index = {e: i for i, e in enumerate(els)}
-    lines = [[index[G.mul(s, y)] for s in S.elements] for y in els]
+    if isinstance(G, Cyclic):
+        # exact: G lists 0..v-1 in order and multiplies by (a + b) mod v,
+        # and ring[s + y] is (s + y) mod v as one shared int per point
+        ring = els * 2
+        lines = [tuple(sorted([ring[s + y] for s in S.elements]))
+                 for y in els]
+    else:
+        index = {e: i for i, e in enumerate(els)}
+        lines = [tuple(sorted([index[G.mul(s, y)] for s in S.elements]))
+                 for y in els]
     meta = {"construction": "difference-set", "group": G.spec_string(),
             "elements": [G.canon(e) for e in els]}
-    return IncidenceStructure(len(els), lines, meta)
+    # S lists distinct elements of G, and s -> s y is a bijection, so each
+    # line holds distinct indices below |G| (DECISIONS.md, "Trusted builders")
+    return IncidenceStructure._trusted(len(els), lines, meta)
 
 
 def right_translation_action(G):
@@ -262,8 +294,9 @@ def pg_singer_structure(q, m):
         through0.append(line)
     lines = sorted(tuple(x + t for x in line)
                    for line in through0 for t in range(v - line[-1]))
-    return IncidenceStructure(v, lines, {"construction": "pg-singer",
-                                         "m": m, "q": q})
+    # each line is a sorted set of points plus t, below v
+    return IncidenceStructure._trusted(v, lines, {"construction": "pg-singer",
+                                                  "m": m, "q": q})
 
 
 def _preserves_lines(gamma, images, line_masks):
@@ -283,11 +316,12 @@ def verify_singer_action(gamma, G, action):
 
     Only the identity and the generators T of G are mapped against the
     lines.  Each point's orbit column then proves pi(g t) = pi(t) o pi(g)
-    for every g in G and t in T, so every pi(g) is a composite of
-    line-preserving maps (DECISIONS.md, "Singer actions from generators").
-    The action is still evaluated 2 |G| v times, but the line work falls
-    from |G| to |T| + 1 maps.  Any failure returns the exhaustive
-    certificate, so the result is the exhaustive one on every input."""
+    for every g in G and t in T, so pi is a right action by composites
+    of line-preserving maps, regular once it is regular at point 0
+    (DECISIONS.md, "Singer actions from generators").  The action is
+    still evaluated 2 |G| v times, but the line work falls from |G| to
+    |T| + 1 maps.  Any failure returns the exhaustive certificate, so the
+    result is the exhaustive one on every input."""
     if G.order is None:
         raise DomainError("finite groups only")
     els = G.enumerate(G.order)
@@ -317,8 +351,9 @@ def verify_singer_action(gamma, G, action):
              for t in T]
     for p in points:
         col = [action(g, p) for g in els]
-        # |G| = v images that cover the points: free and transitive at p
-        if sorted(col) != points:
+        # a right action with a trivial stabilizer at 0 has only trivial
+        # ones, since they are conjugate: one column proves regularity
+        if p == 0 and sorted(col) != points:
             return _exhaustive_singer_action(gamma, G, action)
         at_col = itemgetter(*col)
         for pick, row in picks:

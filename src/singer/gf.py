@@ -263,9 +263,11 @@ class GF:
 
     def primitive_element(self):
         """Least element (enumeration order) of multiplicative order q-1:
-        the least a with a^((q-1)/r) != 1 for every prime r dividing q-1."""
+        the least a with a^((q-1)/r) != 1 for every prime r dividing q-1.
+        For n > 1 the scan starts at p: the codes 1..p-1 are the units of
+        GF(p), whose orders divide p - 1 < q - 1."""
         cofactors = [(self.q - 1) // r for r in prime_divisors(self.q - 1)]
-        for a in range(1, self.q):
+        for a in range(1 if self.n == 1 else self.p, self.q):
             if all(self._poly_pow(a, c) != 1 for c in cofactors):
                 return a
         raise DomainError("no primitive element found")  # unreachable
@@ -284,6 +286,18 @@ class GF:
         return hash((self.p, self.n, self.modulus))
 
 
+def _span(base, add, p):
+    """[sum of c_j base[j] for each code sum of c_j p^j], digit by digit:
+    digit j = c is digit j = c - 1 plus base[j], one addition an entry."""
+    table = [0]
+    for b in base:
+        block = table
+        for _ in range(p - 1):
+            block = [add(x, b) for x in block]
+            table += block
+    return table
+
+
 @lru_cache(maxsize=4)
 def log_tables(F):
     """(g, exp, log) for the field F, with g its primitive element.
@@ -298,8 +312,9 @@ def log_tables(F):
     P = p^h, the code x = lo + P*hi is the polynomial lo(X) + X^h hi(X), so
     x*g = lo*g + (P*hi)*g: two lookups in tables of p^h and p^(n-h)
     products and one field addition, which is XOR for p = 2
-    (DECISIONS.md, "Log tables stepped by a linear map").  The products
-    are polynomial ones, since `GF.mul` reads these tables.
+    (DECISIONS.md, "Log tables stepped by a linear map").  Those tables
+    are spans of the n products X^j*g, one addition per entry; the
+    products are polynomial ones, since `GF.mul` reads these tables.
 
     `GF.mul`, `pow` and `inv` trust the tables, so the fill proves them:
     after q-1 steps x must be back at 1, and every nonzero code must have
@@ -312,9 +327,9 @@ def log_tables(F):
     log = array("i", [-1]) * F.q
     h = (n + 1) // 2
     P = p ** h
-    lo_g = [F._poly_mul(lo, g) for lo in range(P)]
-    hi_g = [F._poly_mul(P * hi, g) for hi in range(p ** (n - h))]
     add = operator.xor if p == 2 else F.add
+    base = [F._poly_mul(p ** j, g) for j in range(n)]    # X^j * g
+    lo_g, hi_g = _span(base[:h], add, p), _span(base[h:], add, p)
     x = 1
     for i in range(N):
         exp[i] = x

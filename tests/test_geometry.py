@@ -59,12 +59,8 @@ def test_plane_lines_are_translates():
     assert geo.plane_from_difference_set(G, S).lines == _pairwise_lines(G, S)
     # non-abelian: a greedy certified partial set of S_4
     G = Symmetric(4)
-    els = ()
-    for e in G.elements():
-        if ds.verify_partial(ds.PartialDifferenceSet(G, els + (e,))):
-            els += (e,)
-    S = pds(G, els)
-    assert len(els) == 4 and not G.abelian
+    S = _greedy_set(G)
+    assert len(S.elements) == 4 and not G.abelian
     assert geo.plane_from_difference_set(G, S).lines == _pairwise_lines(G, S)
 
 
@@ -122,6 +118,51 @@ def test_pg_plane_axioms():
         assert cert.ok and cert.order == q
 
 
+def test_plane_from_the_smallest_certified_sets():
+    # the empty set develops into equal empty lines, refused as by the
+    # validated constructor; one element gives v distinct one-point lines
+    for G in (Cyclic(7), Symmetric(3)):
+        with pytest.raises(DomainError, match="^repeated line$"):
+            geo.plane_from_difference_set(G, pds(G, []))
+    G = Cyclic(7)
+    gamma = geo.plane_from_difference_set(G, pds(G, [3]))
+    assert gamma.lines == [((3 + y) % 7,) for y in range(7)]
+    assert gamma.masks == [1 << (3 + y) % 7 for y in range(7)]
+    assert not geo.verify_plane(gamma)
+
+
+def _assert_validated(gamma):
+    """gamma equals itself rebuilt through the public constructor."""
+    checked = geo.IncidenceStructure(
+        gamma.npoints, [list(l) for l in gamma.lines], gamma.meta)
+    assert gamma.lines == checked.lines and gamma.masks == checked.masks
+    assert gamma.to_json() == checked.to_json()
+
+
+_DEVELOPMENTS = {
+    **{f"classical q={q}": lambda q=q: ds.classical_singer(q, 2)
+       for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)},
+    **{str(G): lambda G=G: (G, _greedy_set(G))
+       for G in (Symmetric(4), Abelian((3, 3)))}}
+
+
+@pytest.mark.parametrize("name", _DEVELOPMENTS)
+def test_trusted_planes_match_the_validated_constructor(name):
+    G, S = _DEVELOPMENTS[name]()
+    gamma = geo.plane_from_difference_set(G, S)
+    _assert_validated(gamma)
+    # (s + y) mod v on a cyclic group against the generic index[s y]
+    els = list(G.elements())
+    index = {e: i for i, e in enumerate(els)}
+    assert gamma.lines == [tuple(sorted(index[G.mul(s, y)]
+                                        for s in S.elements)) for y in els]
+
+
+@pytest.mark.parametrize("q,m", [(2, 3), (3, 3), (2, 4)])
+def test_trusted_spaces_match_the_validated_constructor(q, m):
+    _assert_validated(geo.pg_singer_structure(q, m))
+
+
 # verify_plane against the definition: pair axioms, then a quadrangle
 # among all four-point subsets, then the line sizes
 
@@ -164,6 +205,31 @@ _SMALL_STRUCTURES = (
 def test_verify_plane_matches_the_definition(gamma):
     assert (geo.verify_plane(gamma).to_json()
             == oracle.verify_plane(gamma.npoints, gamma.masks))
+
+
+def _uncovered(q):
+    """Structures whose lines meet pairwise once but leave a point pair
+    on no line: the classical plane of order q with an isolated point
+    added, with line 0 dropped, and pencils of its lines through point 0,
+    cut down to the points they cover."""
+    gamma = geo.plane_from_difference_set(*ds.classical_singer(q, 2))
+    v, lines = gamma.npoints, gamma.lines
+    yield geo.IncidenceStructure(v + 1, lines)
+    yield geo.IncidenceStructure(v, lines[1:])
+    pencil = [l for l in lines if l[0] == 0]
+    for k in (2, 3, q + 1):
+        points = sorted(set().union(*pencil[:k]))
+        yield geo.IncidenceStructure(len(points), [
+            [points.index(x) for x in l] for l in pencil[:k]])
+
+
+@pytest.mark.parametrize("gamma", [g for q in (2, 3, 4, 5, 7, 8, 9, 16)
+                                   for g in _uncovered(q)], ids=repr)
+def test_coverage_counted_matches_the_definition(gamma):
+    cert = geo.verify_plane(gamma)
+    assert cert.to_json() == oracle.verify_plane(gamma.npoints, gamma.masks)
+    assert cert.checks["two-lines-one-point"]
+    assert not cert.checks["two-points-one-line"]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -212,14 +278,19 @@ def _classical_plane(q):
     return geo.plane_from_difference_set(G, S), G
 
 
-def _greedy_plane(G):
-    """The plane-like structure of a greedy certified partial set of G: its
-    lines are translates, so right translation preserves them."""
+def _greedy_set(G):
+    """A greedy certified partial difference set of G."""
     els = ()
     for e in G.elements():
         if ds.verify_partial(ds.PartialDifferenceSet(G, els + (e,))):
             els += (e,)
-    return geo.plane_from_difference_set(G, pds(G, els))
+    return pds(G, els)
+
+
+def _greedy_plane(G):
+    """The plane-like structure of a greedy certified partial set of G: its
+    lines are translates, so right translation preserves them."""
+    return geo.plane_from_difference_set(G, _greedy_set(G))
 
 
 def _moved_line(gamma, i):
@@ -351,6 +422,28 @@ def test_singer_action_tampered_actions():
     act = _tampered(shift, {3: lambda p: shift(5, p),
                             5: lambda p: shift(3, p)})
     assert _same_as_exhaustive(gamma, G, act).ok
+
+
+def test_singer_action_regular_at_zero_only():
+    # row 4 of the shift on C_13 trades the images of points 2 and 5: every
+    # row stays a permutation, rows e and 1 (T = [1]) and column 0 stay
+    # regular, and columns 2 and 5 repeat a point.  Only the homomorphism
+    # check, on a column other than 0, can send it to the exhaustive scan
+    G = Cyclic(13)
+    assert subgroup_generators(G.mul, G.identity, list(range(13))) == [1]
+    shift = geo.right_translation_action(G)
+    act = _tampered(shift, {4: lambda p: shift(4, {2: 5, 5: 2}.get(p, p))})
+    for g in range(13):
+        assert sorted(act(g, p) for p in range(13)) == list(range(13))
+    assert [p for p in range(13)
+            if len({act(g, p) for g in range(13)}) < 13] == [2, 5]
+    cert = _same_as_exhaustive(geo.pg_singer_structure(3, 2), G, act)
+    assert cert.detail == {"reason": "line not preserved", "g": "4"}
+    # on 13 one-point lines every permutation preserves the lines, so the
+    # exhaustive scan reports the first column that is not free
+    points = geo.IncidenceStructure(13, [(p,) for p in range(13)])
+    assert _same_as_exhaustive(points, G, act).detail == {
+        "reason": "not free", "point": 2, "movers": ["4", "7"]}
 
 
 def test_singer_action_tampered_plane():
@@ -583,11 +676,32 @@ def test_incidence_json_roundtrip():
 
 
 def test_incidence_validation():
-    with pytest.raises(DomainError):
-        geo.IncidenceStructure(3, [(0, 5)])
-    with pytest.raises(DomainError):
-        geo.IncidenceStructure(3, [(0, 1), (0, 1)])
-    for points, lines in ((3, [(0, "1")]), (3, [(0, 1.0)]), (3, 5),
-                          (3, [5]), (3, [(0, 0, 1)]), (-1, []), ("3", [])):
-        with pytest.raises(DomainError):
+    below = "is not a list of point indices below 3"
+    for points, lines, message in (
+            (3, [(0, 5)], f"line (0, 5) {below}"),
+            (3, [(0, 1), (0, 1)], "repeated line"),
+            (3, [(0, 1), [1, 0]], "repeated line"),
+            (3, [[], []], "repeated line"),
+            (3, [(0, "1")], f"line (0, '1') {below}"),
+            (3, [(0, 1.0)], f"line (0, 1.0) {below}"),
+            (3, [(0, True)], f"line (0, True) {below}"),
+            (3, [(-1, 0)], f"line (-1, 0) {below}"),
+            (3, [(0, 3 ** 40)], f"line (0, {3 ** 40}) {below}"),
+            (3, 5, "lines must be a list of point lists"),
+            (3, [5], f"line 5 {below}"),
+            (3, [(0,), "ab"], f"line 'ab' {below}"),
+            (3, [(0, 0, 1)], "repeated point in line (0, 0, 1)"),
+            (3, [(1, 2), (0, 1, 1)], "repeated point in line (0, 1, 1)"),
+            (-1, [], "points must be a nonnegative integer, not -1"),
+            ("3", [], "points must be a nonnegative integer, not '3'")):
+        with pytest.raises(DomainError) as err:
             geo.IncidenceStructure(points, lines)
+        assert str(err.value) == message
+    for obj, message in (
+            (5, "an incidence structure needs points and lines"),
+            ({"points": 3}, "an incidence structure needs points and lines"),
+            ({"points": 3, "lines": [[0, 1]], "meta": "x"},
+             "meta must be an object")):
+        with pytest.raises(DomainError) as err:
+            geo.IncidenceStructure.from_json(obj)
+        assert str(err.value) == message

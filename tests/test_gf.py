@@ -128,6 +128,32 @@ def test_log_tables(p, n):
     assert sorted(exp) == list(range(1, F.q))
 
 
+# every GF(p^n) with n >= 2 and q <= 1024, and the fields of the `planes`
+# benchmark workload, GF(2^12) and GF(23^3)
+BOOTSTRAP_FIELDS = [(p, n) for p in range(2, 32) if gf.is_prime(p)
+                    for n in range(2, 11) if p ** n <= 1024] + [
+    (2, 12), (23, 3)]
+
+
+@pytest.mark.parametrize("p,n", BOOTSTRAP_FIELDS)
+def test_bootstrap_matches_the_polynomial_steps(p, n):
+    """`primitive_element` against the scan from code 1, and `log_tables`
+    against the loop x -> x*g by `F._poly_mul`."""
+    F = gf.GF(p, n)
+    cofactors = [(F.q - 1) // r for r in gf.prime_divisors(F.q - 1)]
+    g = next(a for a in range(1, F.q)
+             if all(F._poly_pow(a, c) != 1 for c in cofactors))
+    assert F.primitive_element() == g
+    exp = array("i", [0]) * (F.q - 1)
+    log = array("i", [-1]) * F.q
+    x = 1
+    for i in range(F.q - 1):
+        exp[i] = x
+        log[x] = i
+        x = F._poly_mul(x, g)
+    assert gf.log_tables.__wrapped__(F) == (g, exp, log)    # past the cache
+
+
 @pytest.mark.parametrize("p,n,a", [(2, 4, 1), (2, 4, 8), (3, 2, 2),
                                    (5, 2, 4), (7, 1, 2)])
 def test_log_tables_refuse_a_non_primitive_generator(p, n, a, monkeypatch):

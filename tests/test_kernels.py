@@ -156,8 +156,14 @@ def _mutations(npts, masks):
 
 
 # every line's intersections with the others add up to L - 1 = 3, as 2 + 1
-# + 0: the sizes alone cannot tell it from a plane, the union of stars can
+# + 0: the sizes alone cannot tell it from a plane, the reach of point 0 can
 LINE_CASES["sizes balance"] = (6, [0b010011, 0b100011, 0b011100, 0b101100])
+# no pair of lines: the kernel says every pair meets once, and the scan
+# finds no pair outside any range
+LINE_CASES["one empty line"] = (3, [0])
+# two equal one-point lines meet once; two disjoint lines not at all
+LINE_CASES["one point twice"] = (3, [0b100, 0b100])
+LINE_CASES["parallel"] = (4, [0b0011, 0b1100])
 
 PLANES = _planes()
 for name, (npts, masks) in PLANES.items():
@@ -174,6 +180,13 @@ def test_line_scan_parity(case):
             oracle.line_pair_witness(masks, lo, hi)
     assert _backend.coverage_witness(npts, masks) == \
         oracle.coverage_witness(npts, masks)
+
+
+@pytest.mark.parametrize("case", LINE_CASES)
+def test_reach_decides_meet_once(case):
+    _, masks = LINE_CASES[case]
+    assert _backend.lines_meet_once(masks) is (
+        oracle.line_pair_witness(masks, 1, 1) is None)
 
 
 @pytest.mark.parametrize("name", PLANES)
