@@ -166,7 +166,7 @@ def _fiber_group(spec, m):
     if spec in (None, "cycle"):
         return "first", f1.cyclic_shift_group(degree)
     s = spec.lower()
-    if s.endswith("full") or s == "symmetric":
+    if s in ("full", "symmetric"):
         return "general", f1.full_symmetric_group(degree)
     if s in ("alternating", "alt"):
         return "general", f1.alternating_group(degree)
@@ -212,8 +212,9 @@ def cmd_f1(args):
 LEMMA_BITS_CAP = 2 ** 13
 
 
-def _lemma_table(p, top):
-    """(table, failures) of the divisibility sweep over i | j <= top."""
+def _lemma(p, top):
+    """(payload, ok) of `lemma --p p --max top`: the divisibility sweep
+    over i | j <= top."""
     if p > gf.SIZE_CAP:
         raise CapError("p exceeds the field size cap 2^20")
     if not gf.is_prime(p):
@@ -237,12 +238,6 @@ def _lemma_table(p, top):
                           "asserted": asserted})
             if asserted and not divides:
                 failures.append({"i": i, "j": j})
-    return table, failures
-
-
-def _lemma(p, top):
-    """(payload, ok) of `lemma --p p --max top`."""
-    table, failures = _lemma_table(p, top)
     return {"p": p, "max": top, "table": table,
             "failures": failures}, not failures
 
@@ -364,14 +359,17 @@ def build_parser():
     p = sub.add_parser("classical", help="cyclic Singer difference set")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
+    p.set_defaults(run=cmd_classical)
 
     p = sub.add_parser("hughes", help="greedy partial difference set")
     p.add_argument("--group", required=True)
     p.add_argument("--targets", type=int, required=True)
     p.add_argument("--bound", type=int,
                    default=diffsets.DEFAULT_SEARCH_BOUND)
+    p.set_defaults(run=cmd_hughes)
 
     p = sub.add_parser("hyper", help="hyperfield constructions")
+    p.set_defaults(run=cmd_hyper)
     hs = p.add_subparsers(dest="hyper_cmd", required=True)
     hs.add_parser("krasner")
     pk = hs.add_parser("kalg")
@@ -392,10 +390,12 @@ def build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--chain", default=None)
     p.add_argument("--S", default=None)
+    p.set_defaults(run=cmd_f1)
 
     p = sub.add_parser("lemma", help="divisibility sweep")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--max", type=int, default=12)
+    p.set_defaults(run=cmd_lemma)
     return ap
 
 
@@ -405,18 +405,10 @@ def main(argv=None):
         args = ap.parse_args(argv)
         if args.verify_only:
             return cmd_verify_only(args.verify_only, args.out)
-        if args.cmd == "classical":
-            return cmd_classical(args)
-        if args.cmd == "hughes":
-            return cmd_hughes(args)
-        if args.cmd == "hyper":
-            return cmd_hyper(args)
-        if args.cmd == "f1":
-            return cmd_f1(args)
-        if args.cmd == "lemma":
-            return cmd_lemma(args)
-        ap.print_usage(sys.stderr)
-        return EXIT_USAGE
+        if args.cmd is None:
+            ap.print_usage(sys.stderr)
+            return EXIT_USAGE
+        return args.run(args)
     except BoundedFailure as exc:
         _log(f"bounded failure: {exc}")
         return EXIT_BOUNDED

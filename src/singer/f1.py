@@ -38,10 +38,9 @@ class F1Space:
 class ActionGroup:
     """A set of monomial automorphisms acting on an F1Space."""
 
-    def __init__(self, space, elements, construction, meta=None):
+    def __init__(self, space, elements, construction):
         self.space, self.elements = space, elements
         self.construction = construction
-        self.meta = {} if meta is None else meta
 
     @property
     def order(self):
@@ -116,8 +115,10 @@ def dihedral_group(degree):
 
 
 def alternating_group(degree):
-    return [p for p in itertools.permutations(range(degree))
-            if _parity(p) == 0]
+    """A_degree, generated by the 3-cycles (0 1 k)."""
+    return perm_closure(degree, [
+        tuple({0: 1, 1: k, k: 0}.get(i, i) for i in range(degree))
+        for k in range(2, degree)])
 
 
 def full_symmetric_group(degree):
@@ -127,6 +128,8 @@ def full_symmetric_group(degree):
 def affine_group(p, k):
     """{x -> ax + b mod p} with a ranging over the order-k subgroup of
     (Z/p)^x; transitive on p points with cyclic stabilizers of order k."""
+    if k < 1:
+        raise DomainError(f"k must be >= 1, not {k}")
     if (p - 1) % k != 0:
         raise DomainError(f"{k} does not divide {p - 1}")
     g = gf.GF(p).primitive_element()
@@ -134,15 +137,6 @@ def affine_group(p, k):
     shift = tuple((i + 1) % p for i in range(p))
     mult = tuple((a0 * i) % p for i in range(p))
     return perm_closure(p, [shift, mult])
-
-
-def _parity(p):
-    inv = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inv += 1
-    return inv % 2
 
 
 def is_sharply_transitive(degree, perms):
@@ -168,8 +162,7 @@ def singer_first(m, n, S=None):
     if not is_sharply_transitive(m + 1, S):
         raise DomainError("fiber group is not sharply transitive")
     els = [(s, (k,) * (m + 1)) for s in sorted(S) for k in range(n)]
-    return ActionGroup(sp, els, "diagonal",
-                       {"m": m, "n": n, "fiber_group_order": len(S)})
+    return ActionGroup(sp, els, "diagonal")
 
 
 def singer_general(S, n=None):
@@ -220,8 +213,7 @@ def singer_general(S, n=None):
             perm[i] = j
             tw[i] = c
         els.append((tuple(perm), tuple(tw)))
-    return ActionGroup(sp, els, "stabilizer-coset",
-                       {"m": m, "n": n, "perm_group_order": len(S)})
+    return ActionGroup(sp, els, "stabilizer-coset")
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,6 @@ class IncidenceStructure:
     def nlines(self):
         return len(self.lines)
 
-    def line_set(self):
-        return set(self.masks)
-
     def to_json(self):
         return {
             "points": self.npoints,
@@ -301,13 +298,8 @@ def pg_singer_structure(q, m):
 
 def _preserves_lines(gamma, images, line_masks):
     """Whether the point map `images` sends every line of gamma to a line."""
-    for line in gamma.lines:
-        im = 0
-        for p in line:
-            im |= 1 << images[p]
-        if im not in line_masks:
-            return False
-    return True
+    return all(_mask(map(images.__getitem__, line)) in line_masks
+               for line in gamma.lines)
 
 
 def verify_singer_action(gamma, G, action):
@@ -338,7 +330,7 @@ def verify_singer_action(gamma, G, action):
             return _exhaustive_singer_action(gamma, G, action)
         if g in checked:
             rows[g] = images
-    line_masks = gamma.line_set()
+    line_masks = set(gamma.masks)
     if not all(_preserves_lines(gamma, images, line_masks)
                for images in rows.values()):
         return _exhaustive_singer_action(gamma, G, action)
@@ -365,7 +357,7 @@ def verify_singer_action(gamma, G, action):
 def _exhaustive_singer_action(gamma, G, action):
     """`verify_singer_action` by mapping every line through every group
     element: the reference, and the source of every failure report."""
-    line_masks = gamma.line_set()
+    line_masks = set(gamma.masks)
     els = G.enumerate(G.order)
     npts = gamma.npoints
     for g in els:

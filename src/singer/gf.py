@@ -111,10 +111,6 @@ def poly_mod(a, m, p):
     return poly_trim(a)
 
 
-def _poly_divides(d, a, p):
-    return poly_mod(a, d, p) == ()
-
-
 def poly_is_irreducible(f, p):
     """Trial division by every monic polynomial of degree <= deg(f)/2."""
     f = poly_trim(f)
@@ -131,7 +127,7 @@ def poly_is_irreducible(f, p):
                 cs.append(c % p)
                 c //= p
             cand = tuple(cs) + (1,)
-            if _poly_divides(cand, f, p):
+            if poly_mod(f, cand, p) == ():
                 return False
     return True
 
@@ -271,9 +267,6 @@ class GF:
             if all(self._poly_pow(a, c) != 1 for c in cofactors):
                 return a
         raise DomainError("no primitive element found")  # unreachable
-
-    def spec_string(self):
-        return f"gf:p={self.p},n={self.n}"
 
     def __repr__(self):
         return f"<GF({self.p}^{self.n})>"

@@ -15,6 +15,7 @@ element.
 """
 
 import itertools
+import math
 import operator
 
 from .errors import DomainError, CapError
@@ -25,9 +26,8 @@ _LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 
 class GroupHandle:
-    """Base class; subclasses fix kind, order and the element encoding."""
+    """Base class; subclasses fix the order and the element encoding."""
 
-    kind = None
     order = None        # None means infinite
     abelian = False
 
@@ -82,7 +82,6 @@ class GroupHandle:
 
 
 class Cyclic(GroupHandle):
-    kind = "cyclic"
     abelian = True
 
     def __init__(self, v):
@@ -128,8 +127,6 @@ class FieldQuotient(Cyclic):
     index projective points by these exponents.
     """
 
-    kind = "field-quotient"
-
     def __init__(self, p, n, m):
         if n < 1 or m < 1:
             raise DomainError("degrees must be >= 1")
@@ -147,7 +144,6 @@ class FieldQuotient(Cyclic):
 
 
 class Abelian(GroupHandle):
-    kind = "abelian"
     abelian = True
 
     def __init__(self, factors):
@@ -155,9 +151,7 @@ class Abelian(GroupHandle):
         if not factors or any(d < 1 for d in factors):
             raise DomainError("invariant factors must be positive")
         self.factors = factors
-        self.order = 1
-        for d in factors:
-            self.order *= d
+        self.order = math.prod(factors)
 
     @property
     def identity(self):
@@ -193,7 +187,6 @@ class Abelian(GroupHandle):
 
 
 class Integers(GroupHandle):
-    kind = "integers"
     abelian = True
     order = None
 
@@ -236,7 +229,6 @@ class Free(GroupHandle):
     realizes a < a^-1 < b < b^-1 < ...
     """
 
-    kind = "free"
     order = None
 
     def __init__(self, rank):
@@ -327,15 +319,11 @@ class Symmetric(GroupHandle):
     with the point actions used elsewhere).
     """
 
-    kind = "symmetric"
-
     def __init__(self, m):
         if m < 1:
             raise DomainError("symmetric degree must be >= 1")
         self.m = m
-        self.order = 1
-        for k in range(2, m + 1):
-            self.order *= k
+        self.order = math.factorial(m)
 
     @property
     def identity(self):
@@ -381,15 +369,11 @@ class Monomial(GroupHandle):
     applies g first, then h.
     """
 
-    kind = "monomial"
-
     def __init__(self, n, m):
         if n < 1 or m < 1:
             raise DomainError("monomial parameters must be >= 1")
         self.n, self.m = n, m
-        self.order = n ** m
-        for k in range(2, m + 1):
-            self.order *= k
+        self.order = n ** m * math.factorial(m)
 
     @property
     def identity(self):

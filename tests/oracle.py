@@ -196,3 +196,8 @@ def free_mul(a, b):
         a.pop()
         i += 1
     return tuple(a) + b[i:]
+
+
+def is_even(perm):
+    """Whether an image tuple has an even number of inversions."""
+    return sum(x > y for x, y in combinations(perm, 2)) % 2 == 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -340,11 +341,35 @@ def test_lemma_refuses_an_empty_sweep(tmp_path, capsys):
     "lemma --p 2 --max 0",
     "hughes --group integers --targets 3 --bound -1",  # was exit 3
     "hughes --group integers --targets 3 --bound 0",
+    "f1 --m 4 --n 1 --S affine:0",    # was a ZeroDivisionError traceback
+    "f1 --m 4 --n 1 --S affine:-1",   # was exit 0, as affine:1
+    "f1 --m 4 --n 1 --S bogusfull",   # was S_5, then a stabilizer error
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, out, err = run(argv.split(), capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def _readme_commands():
+    """(argv, exit code) of each `singer` line in README's CLI block that
+    reads or writes no file; the code is the one its comment names, or 0."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        if (argv[:1] != ["singer"]
+                or {"--in", "--out", "--verify-only"} & set(argv)):
+            continue
+        code = re.search(r"exit (\d)", comment)
+        yield pytest.param(argv[1:], int(code[1]) if code else 0,
+                           id=" ".join(argv[1:]))
+
+
+@pytest.mark.parametrize("argv,expect", _readme_commands())
+def test_readme_commands(argv, expect, capsys):
+    assert run(argv, capsys)[0] == expect
 
 
 def test_help_exits_0(capsys):

@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from singer.errors import DomainError, CapError
 from singer import f1, survey
 from singer.groups import closure
@@ -49,6 +52,12 @@ def test_perm_helpers():
         f1.affine_group(7, 4)
     assert f1.is_sharply_transitive(3, f1.cyclic_shift_group(3))
     assert not f1.is_sharply_transitive(3, f1.full_symmetric_group(3))
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_alternating_group_is_the_even_permutations(degree):
+    assert f1.alternating_group(degree) == [
+        p for p in permutations(range(degree)) if oracle.is_even(p)]
 
 
 def test_singer_general_s3():
