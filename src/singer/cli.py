@@ -86,10 +86,9 @@ def cmd_hughes(args):
     G = parse_group(args.group)
     state = diffsets.hughes_build(G, args.targets, args.bound)
     sizes = diffsets.replay_chain(state)
-    _log(f"built |S|={len(state.current.elements)} over "
-         f"{state.targets_consumed} targets; "
-         f"{len(sizes)} prefixes re-certified; furthest candidate position "
-         f"{state.candidates.drawn - 1} (--bound {args.bound})")
+    _log(f"built |S|={len(state.current.elements)} over {len(state.log)} "
+         f"targets; {len(sizes)} prefixes re-certified; furthest candidate "
+         f"position {state.drawn - 1} (--bound {args.bound})")
     payload = {"difference_set": state.current.to_json(),
                "log": state.log_json(),
                "log_hash": state.log_hash(),
@@ -160,38 +159,39 @@ def cmd_hyper(args):
 # ---------------------------------------------------------------------------
 
 def _fiber_group(spec, m):
-    """(kind, group) for the --S flag; kind 'first' means sharply
-    transitive input for the diagonal construction."""
+    """(kind, group) for the --S flag, which the parser lower-cases; kind
+    'first' means sharply transitive input for the diagonal construction."""
     degree = m + 1
-    if spec in (None, "cycle"):
+    if spec == "cycle":
         return "first", f1.cyclic_shift_group(degree)
-    s = spec.lower()
-    if s in ("full", "symmetric"):
+    if spec in ("full", "symmetric"):
         return "general", f1.full_symmetric_group(degree)
-    if s in ("alternating", "alt"):
+    if spec in ("alternating", "alt"):
         return "general", f1.alternating_group(degree)
-    if s in ("dihedral", "dih"):
+    if spec in ("dihedral", "dih"):
         return "general", f1.dihedral_group(degree)
-    if s.startswith("affine:"):
-        k = int(s.split(":", 1)[1])
+    if spec.startswith("affine:"):
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"--S {spec}: affine:k needs an integer k")
         return "general", f1.affine_group(degree, k)
     raise DomainError(f"unknown fiber group spec {spec!r}")
 
 
 def cmd_f1(args):
     payload = {"m": args.m}
+    if not args.chain and args.n is None:
+        raise DomainError("need --n or --chain")
+    kind, S = _fiber_group(args.S, args.m)
     if args.chain:
         chain = [int(x) for x in args.chain.split(",")]
-        kind, S = _fiber_group(args.S, args.m)
         if kind != "first":
             raise DomainError("chains use the diagonal construction; "
                               "the fiber group must be sharply transitive")
         payload["limit"] = f1.direct_limit_demo(args.m, chain, S)
         return _finish(payload, args.out, payload["limit"]["coherent"],
                        "chain coherent", "chain incoherent")
-    if args.n is None:
-        raise DomainError("need --n or --chain")
-    kind, S = _fiber_group(args.S, args.m)
     if kind == "first":
         A = f1.singer_first(args.m, args.n, S)
     else:
@@ -272,15 +272,7 @@ def cmd_verify_only_obj(obj):
         rep = hyper.check_axioms(T)
         return {"kind": "hypertable", "axioms": rep.to_json()}, rep.passed()
     if "elements" in obj and "group" in obj:
-        S = diffsets.PartialDifferenceSet.from_json(obj)
-        cert = diffsets.verify_partial(S)
-        report = {"kind": "difference-set", "ok": cert.ok,
-                  "detail": cert.detail}
-        # a recorded `certified` claim must agree with the re-check
-        if "certified" in obj and obj["certified"] is not cert.ok:
-            report["recorded_certified"] = obj["certified"]
-            return report, False
-        return report, cert.ok
+        return _set_report(obj, diffsets.PartialDifferenceSet.from_json(obj))
     if "points" in obj and "lines" in obj:
         meta = obj.get("meta")
         if isinstance(meta, dict) and meta.get("construction") == "pg-singer":
@@ -299,16 +291,17 @@ def cmd_verify_only_obj(obj):
         kind = "singer-space" if "space" in obj else "singer-plane"
         return _rebuilt(kind, obj, *_classical(G.q, G.m - 1))
     if "difference_set" in obj:
-        report, ok = cmd_verify_only_obj(obj["difference_set"])
-        if "log" in obj or "log_hash" in obj:
-            state = diffsets.BuilderState.from_json(obj)
-            cert = diffsets.verify_log(state, obj.get("log_hash"))
-            if cert.ok and obj.get("prefixes_certified") != len(state.log):
-                cert = Certificate(False, {
-                    "prefixes_certified": obj.get("prefixes_certified")})
-            report["log"] = {"ok": cert.ok, "detail": cert.detail}
-            ok = ok and cert.ok
-        return report, ok
+        if "log" not in obj and "log_hash" not in obj:
+            return cmd_verify_only_obj(obj["difference_set"])
+        # the set is parsed once, for its own check and for the log's
+        state = diffsets.BuilderState.from_json(obj)
+        report, ok = _set_report(obj["difference_set"], state.current)
+        cert = diffsets.verify_log(state, obj.get("log_hash"))
+        if cert.ok and obj.get("prefixes_certified") != len(state.log):
+            cert = Certificate(False, {
+                "prefixes_certified": obj.get("prefixes_certified")})
+        report["log"] = {"ok": cert.ok, "detail": cert.detail}
+        return report, ok and cert.ok
     if isinstance(obj.get("table"), dict):
         # a whole `hyper` payload: its axioms and classification
         T = hyper.HyperTable.from_json(obj["table"])
@@ -325,6 +318,17 @@ def cmd_verify_only_obj(obj):
             raise DomainError("a lemma payload needs integers p and max")
         return _rebuilt("lemma", obj, *_lemma(p, top))
     raise DomainError("unrecognized payload shape")
+
+
+def _set_report(obj, S):
+    """(report, ok) for the difference set S that `obj` records; a
+    recorded `certified` claim must agree with the re-check."""
+    cert = diffsets.verify_partial(S)
+    report = {"kind": "difference-set", "ok": cert.ok, "detail": cert.detail}
+    if "certified" in obj and obj["certified"] is not cert.ok:
+        report["recorded_certified"] = obj["certified"]
+        return report, False
+    return report, cert.ok
 
 
 def _rebuilt(kind, obj, payload, ok):
@@ -389,7 +393,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--chain", default=None)
-    p.add_argument("--S", default=None)
+    p.add_argument("--S", default="cycle", type=str.lower)
     p.set_defaults(run=cmd_f1)
 
     p = sub.add_parser("lemma", help="divisibility sweep")

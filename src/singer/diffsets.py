@@ -13,7 +13,7 @@ asserted along the way.
 
 import hashlib
 import json
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 from .errors import DomainError, BoundedFailure, Certificate
 from .groups import parse_group, has_involution, FieldQuotient
@@ -166,47 +166,33 @@ def classical_singer(q, m):
 # ---------------------------------------------------------------------------
 # greedy builder
 
-class Candidates:
-    """The enumeration of a group as far as a chain of builder states has
-    drawn it: `live` maps the position of every drawn candidate that is not
-    yet marked to its element, in position order, and `frontier` is the
-    one iterator of `G.elements()` that continues after them."""
+class BuilderState:
+    """The builder's one mutable state: a certified set `current`, its step
+    log, and what steps keep between them.  The first step forms `diffs`,
+    the differences of `current`, and `invs`, its elements' inverses in
+    order.  `live` maps the position of each drawn, unmarked candidate to
+    it, in position order; `frontier` is the iterator of `G.elements()`
+    past them, and `drawn` the count of positions it gave (`DECISIONS.md`)."""
 
-    def __init__(self, elements):
-        self.live = {}
-        self.frontier = elements
-        self.drawn = 0
+    def __init__(self, current, log=None):
+        self.current = current
+        self.log = [] if log is None else log
+        self.diffs = self.invs = self.frontier = None
+        self.live, self.drawn = {}, 0
 
     def scan(self):
         """(position, element) for the live candidates, then for new draws,
         each entered as live.  The caller deletes from `live` only after
         the scan."""
         yield from self.live.items()
+        if self.frontier is None:
+            self.frontier = self.current.group.elements()
         # not `yield from`: closing a scan must leave the frontier open
         for x in self.frontier:
             i = self.drawn
             self.drawn += 1
             self.live[i] = x
             yield i, x
-
-
-class BuilderState:
-    """A certified set, the number of targets consumed and the step log.
-
-    `diffs` (the difference set of the chain's latest set), `candidates`
-    (its live candidates) and `invs` (the inverses of its elements, in
-    order) belong to the chain of states that `hughes_step` hands them
-    along; a state made without them gets fresh ones on its first step.
-    The set of size k whose differences they hold, k(k - 1) of them, is
-    the chain's latest one, so a state owns them exactly when
-    len(diffs) == k(k - 1) for its own k, and owns `invs` exactly when
-    len(invs) == k (`DECISIONS.md`)."""
-
-    def __init__(self, current, targets_consumed=0, log=None, diffs=None,
-                 candidates=None, invs=None):
-        self.current, self.targets_consumed = current, targets_consumed
-        self.log = [] if log is None else log
-        self.diffs, self.candidates, self.invs = diffs, candidates, invs
 
     def log_json(self):
         return self.log
@@ -227,7 +213,7 @@ class BuilderState:
                 and all(isinstance(z, str) for z in entry["added"])
                 for entry in log):
             raise DomainError("log must be a list of {target, added} entries")
-        return BuilderState(S, len(log), log)
+        return BuilderState(S, log)
 
 
 def _new_differences(G, els, invs, z, seen):
@@ -243,9 +229,10 @@ def _new_differences(G, els, invs, z, seen):
 
 
 def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
-    """Extend the set so the target d occurs as a difference.
+    """Extend the set in `state`, in place, so the target d occurs as a
+    difference, and return `state`.
 
-    No-op (cursor/log only) when d already is a difference; otherwise scans
+    No-op (log only) when d already is a difference; otherwise scans
     candidates x in enumeration order and adjoins {x, d^-1 x} (d^-1 x may
     coincide with an existing element, in which case only x is new).
 
@@ -256,6 +243,7 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
     None of these depends on the target, and all stay true as S and D
     grow.  A step visits the live candidates in position order and then
     draws new ones; marked positions still count against `search_bound`.
+    A step that fails changes only the candidates.
     """
     S = state.current
     G = S.group
@@ -265,36 +253,26 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
     if not S.certified:
         raise DomainError("builder state must carry a certified set")
     els = S.elements
-    k = len(els)
-    diffs, cands, invs = state.diffs, state.candidates, state.invs
-    if diffs is None or len(diffs) != k * (k - 1):
-        # the chain has moved past this state: start one of its own
-        diffs, cands = differences(S), None
-    if invs is None or len(invs) != k:
-        invs = [G.inv(s) for s in els]
+    if state.diffs is None:
+        state.diffs, state.invs = differences(S), [G.inv(s) for s in els]
+    diffs, invs = state.diffs, state.invs
+    entry = {"target": G.canon(d), "chosen_x": None, "added": []}
     if d in diffs:
-        new_log = state.log + [{"target": G.canon(d), "chosen_x": None,
-                                "added": []}]
-        return BuilderState(S, state.targets_consumed + 1, new_log, diffs,
-                            cands, invs)
-    if cands is None:
-        cands = Candidates(G.elements())
+        state.log.append(entry)
+        return state
 
     mul, d_inv = G.mul, G.inv(d)
     elset = set(els)
     within = f"no candidate for target {G.canon(d)} within {search_bound}"
     marked = []
     try:
-        for i, x in cands.scan():
+        for i, x in state.scan():
             if i >= search_bound:
                 raise BoundedFailure(within)
             # D = D^-1, so s x^-1 lies in D exactly when x s^-1 does; the
             # lazy map stops at the first product that lies in D
-            if x in elset or not diffs.isdisjoint(map(mul, repeat(x), invs)):
-                marked.append(i)
-                continue
-            new = set()
-            if not _new_differences(G, els, invs, x, new):
+            if (x in elset or not diffs.isdisjoint(map(mul, repeat(x), invs))
+                    or not _new_differences(G, els, invs, x, new := set())):
                 marked.append(i)
                 continue
             y = mul(d_inv, x)
@@ -313,36 +291,32 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
         else:
             # all `drawn` positions failed: a walk from the identity would
             # have reached the bound first iff there are more of them
-            if cands.drawn > search_bound:
+            if state.drawn > search_bound:
                 raise BoundedFailure(within)
             raise BoundedFailure(
                 f"enumeration exhausted before bound for target "
                 f"{G.canon(d)}")
     finally:
         for i in marked:
-            del cands.live[i]
+            del state.live[i]
     x = new_els[0]
     if G.abelian:
         # the conjugation collision d^x = s_j^-1 s_i cannot fire when
         # the group is abelian and d is not yet a difference
         conj = G.mul(G.mul(G.inv(x), d), x)
         assert conj == d, "abelian shortcut violated"
-    # each element of els was validated when it joined the chain's set, and
-    # the scan drew x from G.elements() and formed y by G.mul, both outside
+    # each element of els was validated when it joined the set, and the
+    # scan drew x from G.elements() and formed y by G.mul, both outside
     # elset and x != y: only the new elements are validated
     for z in new_els:
         G.validate(z)
-    ext = PartialDifferenceSet._trusted(G, els + new_els, True)
     assert d in new, "target must appear among the new differences"
+    state.current = PartialDifferenceSet._trusted(G, els + new_els, True)
     diffs |= new
     invs.extend(map(G.inv, new_els))
-    new_log = state.log + [{
-        "target": G.canon(d),
-        "chosen_x": G.canon(x),
-        "added": [G.canon(z) for z in new_els],
-    }]
-    return BuilderState(ext, state.targets_consumed + 1, new_log, diffs,
-                        cands, invs)
+    entry.update(chosen_x=G.canon(x), added=[G.canon(z) for z in new_els])
+    state.log.append(entry)
+    return state
 
 
 def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
@@ -362,35 +336,22 @@ def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
             f"group has an involution ({G.canon(witness)}); an involution "
             "fixes a point of any plane it acts on, so no Singer action "
             "exists (abelian groups act iff involution-free)")
-    e = G.identity
-    start = PartialDifferenceSet(G, (e,), True)
-    state = BuilderState(start)
-    consumed = 0
-    for h in G.elements():
-        if h == e:
-            continue
-        state = hughes_step(state, h, search_bound)
-        consumed += 1
-        if consumed >= num_targets:
-            break
-    if consumed < num_targets:
+    state = BuilderState(PartialDifferenceSet(G, (G.identity,), True))
+    # the enumeration starts at the identity, which is no target
+    for h in islice(G.elements(), 1, num_targets + 1):
+        hughes_step(state, h, search_bound)
+    if len(state.log) < num_targets:
         raise BoundedFailure("group exhausted before target count")
     # the certificates build their own differences of the set, so the
-    # chain's k(k - 1) of them are let go before they run
-    return BuilderState(state.current, state.targets_consumed, state.log,
-                        None, state.candidates, state.invs)
+    # state's k(k - 1) of them are let go before they run
+    state.diffs = None
+    return state
 
 
-def replay_chain(state):
-    """Certify every prefix of the builder log (the chain lemma).
-
-    The log is parsed and must rebuild `state.current` element by element,
-    without repeats.  Every prefix is then a subset of the final set, and a
-    subset of a partial difference set is partial: its difference map is a
-    restriction of an injective map.  So one exhaustive `verify_partial` of
-    the final set certifies all of them.
-
-    Returns the list of prefix sizes, one per log entry."""
+def _log_sizes(state):
+    """The size of the prefix each log entry builds, once the parsed log is
+    found to rebuild `state.current` element by element (AssertionError if
+    not); the set's elements are distinct, so the log adds none twice."""
     G = state.current.group
     elements = [G.identity]
     sizes = []
@@ -399,28 +360,47 @@ def replay_chain(state):
         sizes.append(len(elements))
     if tuple(elements) != state.current.elements:
         raise AssertionError("log does not reproduce the final set")
-    if len(set(elements)) != len(elements):
-        raise AssertionError("log adds an element twice")
+    return sizes
+
+
+def replay_chain(state):
+    """Certify every prefix of the builder log (the chain lemma).
+
+    The log must rebuild `state.current` (`_log_sizes`).  Every prefix is
+    then a subset of the final set, and a subset of a partial difference
+    set is partial: its difference map is a restriction of an injective
+    map.  So one exhaustive `verify_partial` of the final set certifies all
+    of them.
+
+    Returns the list of prefix sizes, one per log entry."""
+    sizes = _log_sizes(state)
     if not verify_partial(state.current):
-        raise AssertionError(f"set of size {len(elements)} not partial")
+        raise AssertionError(
+            f"set of size {len(state.current.elements)} not partial")
     return sizes
 
 
 def verify_log(state, log_hash):
     """Certificate that a builder log is the record of its final set: the
-    log hashes to `log_hash`, it replays (`replay_chain`), and each target
-    is a difference of the prefix built by its step.  In a partial set
-    every difference has one pair (a, b), and it is a difference of a
-    prefix exactly when a and b both lie in that prefix."""
+    log hashes to `log_hash`, it replays as in `replay_chain`, and each
+    target is a difference of the prefix built by its step.  One table of
+    the final set's differences decides both of the last two: the set is
+    partial exactly when every difference has one pair (a, b), and then a
+    target is a difference of a prefix exactly when a and b both lie in
+    that prefix."""
     if state.log_hash() != log_hash:
         return Certificate(False, {"recomputed_log_hash": state.log_hash()})
     try:
-        sizes = replay_chain(state)
+        sizes = _log_sizes(state)
     except AssertionError as exc:
         return Certificate(False, {"replay": str(exc)})
-    G = state.current.group
-    position = {s: i for i, s in enumerate(state.current.elements)}
-    pairs = _difference_pairs(state.current)
+    S = state.current
+    pairs = _difference_pairs(S)
+    if any(len(ps) > 1 for ps in pairs.values()):
+        return Certificate(False, {
+            "replay": f"set of size {len(S.elements)} not partial"})
+    G = S.group
+    position = {s: i for i, s in enumerate(S.elements)}
     for entry, size in zip(state.log, sizes):
         ps = pairs.get(G.parse(entry["target"]))
         if ps is None or max(position[ps[0][0]], position[ps[0][1]]) >= size:

@@ -13,6 +13,10 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
+from singer.diffsets import (BuilderState, PartialDifferenceSet,
+                             DEFAULT_SEARCH_BOUND)
+from singer.errors import BoundedFailure
+
 
 def _members(rows):
     """{mask: its set bits, ascending} for every mask in the rows."""
@@ -185,6 +189,37 @@ def new_differences(G, els, invs, diffs, z, seen):
                 return False
             seen.add(d)
     return True
+
+
+def naive_step(state, d, bound=DEFAULT_SEARCH_BOUND):
+    """`diffsets.hughes_step` without shortcuts, as a new state that leaves
+    `state` as it was: the differences of S from scratch, every candidate
+    from the identity on, and the extension accepted iff its new
+    differences are distinct and new, so that it is partial."""
+    S = state.current
+    G = S.group
+    D = differences(G, S.elements)
+    log = state.log + [{"target": G.canon(d), "chosen_x": None, "added": []}]
+    if d in D:
+        return BuilderState(S, log)
+    for n, x in enumerate(G.elements(), 1):
+        if n > bound:
+            raise BoundedFailure(
+                f"no candidate for target {G.canon(d)} within {bound}")
+        y = G.mul(G.inv(d), x)
+        if x in S.elements or x == y:
+            continue
+        new_els = [x] if y in S.elements else [x, y]
+        T = S.elements + tuple(new_els)
+        new = [G.mul(a, G.inv(b)) for a in T for b in T
+               if a != b and (a in new_els or b in new_els)]
+        if len(set(new)) == len(new) and not set(new) & D:
+            assert d in new
+            log[-1].update(chosen_x=G.canon(x),
+                           added=[G.canon(z) for z in new_els])
+            return BuilderState(PartialDifferenceSet(G, T, True), log)
+    raise BoundedFailure(
+        f"enumeration exhausted before bound for target {G.canon(d)}")
 
 
 def free_mul(a, b):

@@ -259,6 +259,18 @@ def test_f1_affine_needs_prime_degree(capsys):
     assert code == 1 and out == "" and err == "error: 4 is not prime\n"
 
 
+def test_f1_fiber_spec_ignores_case(capsys):
+    cycle = payload(["f1", "--m", "2", "--n", "4", "--S", "cycle"], capsys)
+    assert payload(["f1", "--m", "2", "--n", "4"], capsys) == cycle
+    assert payload(["f1", "--m", "2", "--n", "4", "--S", "CYCLE"],
+                   capsys) == cycle
+    for spec in ("affine:x", "affine:"):
+        code, _, err = run(["f1", "--m", "4", "--n", "1", "--S", spec],
+                           capsys)
+        assert code == 1 and err == (
+            f"error: --S {spec}: affine:k needs an integer k\n")
+
+
 def test_f1_chain(capsys):
     obj = payload(["f1", "--m", "2", "--chain", "1,2,4"], capsys)
     assert obj["limit"]["coherent"] is True
@@ -344,6 +356,8 @@ def test_lemma_refuses_an_empty_sweep(tmp_path, capsys):
     "f1 --m 4 --n 1 --S affine:0",    # was a ZeroDivisionError traceback
     "f1 --m 4 --n 1 --S affine:-1",   # was exit 0, as affine:1
     "f1 --m 4 --n 1 --S bogusfull",   # was S_5, then a stabilizer error
+    "f1 --m 4 --n 1 --S affine:x",    # was "invalid literal for int()"
+    "f1 --m 4 --n 1 --S affine:",
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, out, err = run(argv.split(), capsys)

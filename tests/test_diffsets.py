@@ -137,7 +137,7 @@ def test_elements_validated_at_entry():
 def test_hughes_build_integers():
     st = ds.hughes_build(Integers(), 4)
     assert st.current.elements == (0, 1, 3)
-    assert st.targets_consumed == 4
+    assert len(st.log) == 4
     d = ds.differences(st.current)
     for t in (1, -1, 2, -2):
         assert t in d
@@ -213,48 +213,17 @@ def test_replay_chain():
 # ---------------------------------------------------------------------------
 # the builder's shortcuts against the exhaustive checks at small sizes
 
-def naive_step(state, d, bound=ds.DEFAULT_SEARCH_BOUND):
-    """The builder step without shortcuts: the differences of S from
-    scratch, every candidate from the identity on, and the extension
-    accepted iff its new differences are distinct and new."""
-    S = state.current
-    G = S.group
-    D = ds.differences(S)
-    log = state.log + [{"target": G.canon(d), "chosen_x": None, "added": []}]
-    if d in D:
-        return ds.BuilderState(S, state.targets_consumed + 1, log)
-    for n, x in enumerate(G.elements(), 1):
-        if n > bound:
-            raise BoundedFailure(
-                f"no candidate for target {G.canon(d)} within {bound}")
-        y = G.mul(G.inv(d), x)
-        if x in S.elements or x == y:
-            continue
-        new_els = [x] if y in S.elements else [x, y]
-        T = S.elements + tuple(new_els)
-        new = [G.mul(a, G.inv(b)) for a in T for b in T
-               if a != b and (a in new_els or b in new_els)]
-        if len(set(new)) == len(new) and not set(new) & D:
-            assert d in new
-            log[-1].update(chosen_x=G.canon(x),
-                           added=[G.canon(z) for z in new_els])
-            return ds.BuilderState(ds.certify(pds(G, T)),
-                                   state.targets_consumed + 1, log)
-    raise BoundedFailure(
-        f"enumeration exhausted before bound for target {G.canon(d)}")
-
-
 def build(step, G, num_targets, bound=ds.DEFAULT_SEARCH_BOUND):
-    """Every state of the chain over the first num_targets targets."""
-    states = [ds.BuilderState(ds.certify(pds(G, [G.identity])))]
+    """The state after the first num_targets targets."""
+    state = ds.BuilderState(ds.certify(pds(G, [G.identity])))
     for d in G.enumerate(num_targets + 1)[1:]:
-        states.append(step(states[-1], d, bound))
-    return states
+        state = step(state, d, bound)
+    return state
 
 
 def outcome(step, G, num_targets, bound=ds.DEFAULT_SEARCH_BOUND):
     try:
-        return build(step, G, num_targets, bound)[-1].log
+        return build(step, G, num_targets, bound).log
     except BoundedFailure as exc:
         return str(exc)
 
@@ -268,25 +237,9 @@ def outcome(step, G, num_targets, bound=ds.DEFAULT_SEARCH_BOUND):
 ])
 def test_builder_matches_naive_reference(G, num_targets, bound):
     got = outcome(ds.hughes_step, G, num_targets, bound)
-    assert got == outcome(naive_step, G, num_targets, bound)
+    assert got == outcome(oracle.naive_step, G, num_targets, bound)
     if isinstance(got, list):
         assert got == ds.hughes_build(G, num_targets, bound).log
-
-
-def test_builder_caches_stay_with_their_state():
-    # once the chain has moved on, stepping an older state again, with its
-    # own target or with a later one, gives what a step without caches
-    # gives: no state sees the marks made for a larger set
-    G = Integers()
-    targets = G.enumerate(41)[1:]
-    states = build(ds.hughes_step, G, 40)
-    for i, st in enumerate(states[:-1]):
-        again = ds.hughes_step(st, targets[i])
-        assert again.log == states[i + 1].log
-        assert again.diffs == ds.differences(again.current)
-        assert again.invs == [G.inv(s) for s in again.current.elements]
-        for t in targets[i + 1:i + 6]:
-            assert ds.hughes_step(st, t).log == naive_step(st, t).log
 
 
 @pytest.mark.parametrize("G,num_targets", [(Cyclic(183), 40),
@@ -296,7 +249,7 @@ def test_bound_and_exhaustion_match_naive(G, num_targets, bound):
     # which of "within" and "enumeration exhausted" a failed search raises,
     # and at which target, with marked positions counted against the bound
     got = outcome(ds.hughes_step, G, num_targets, bound)
-    assert got == outcome(naive_step, G, num_targets, bound)
+    assert got == outcome(oracle.naive_step, G, num_targets, bound)
 
 
 def step_outcome(step, state, d, bound):
@@ -309,44 +262,27 @@ def step_outcome(step, state, d, bound):
 @pytest.mark.parametrize("G,n", [(Cyclic(183), 12), (Integers(), 20),
                                  (Free(2), 20)])
 def test_head_state_under_smaller_bounds(G, n):
-    # failed searches leave the head its chain.  A search stopped at its
+    # a failed search changes only the candidates.  A search stopped at its
     # bound keeps the candidate it drew there, and a later search with a
     # smaller bound meets live candidates past that bound.
-    head = build(ds.hughes_step, G, n)[-1]
+    head = build(ds.hughes_step, G, n)
     position = {x: i for i, x in enumerate(itertools.islice(G.elements(),
                                                             200))}
     choices = sorted(
-        (position[G.parse(naive_step(head, d).log[-1]["chosen_x"])], d)
-        for d in G.enumerate(n + 12)[n + 1:] if d not in head.diffs)
+        (position[G.parse(oracle.naive_step(head, d).log[-1]["chosen_x"])],
+         d) for d in G.enumerate(n + 12)[n + 1:] if d not in head.diffs)
     (p2, d2), (p1, d1) = choices[0], choices[-1]
-    assert head.candidates.drawn <= p2 < p1
+    assert head.drawn <= p2 < p1
     for d, bound in ((d2, p2), (d1, p1), (d2, p2), (d2, p2 + 1)):
-        assert (step_outcome(ds.hughes_step, head, d, bound)
-                == step_outcome(naive_step, head, d, bound))
-
-
-def test_no_op_sibling_after_the_chain_moved_on():
-    G = Integers()
-    targets = G.enumerate(60)[1:]
-    states = build(ds.hughes_step, G, 40)
-    siblings = [i for i in range(1, 40)
-                if states[i + 1].current is states[i].current]
-    assert siblings
-    for i in siblings:
-        for st in (states[i + 1], states[i]):
-            for t in targets[i + 1:i + 6]:
-                assert ds.hughes_step(st, t).log == naive_step(st, t).log
-    # two siblings at the head of the chain: the first to extend the set
-    # takes the chain's D, and the other one starts a chain of its own
-    head = states[-1]
-    sibling = ds.hughes_step(head, targets[0])
-    assert sibling.current is head.current and sibling.diffs is head.diffs
-    d = next(t for t in targets[40:] if t not in head.diffs)
-    moved = ds.hughes_step(head, d)
-    assert moved.diffs is head.diffs
-    assert moved.log == naive_step(head, d).log
-    for t in targets[40:]:
-        assert ds.hughes_step(sibling, t).log == naive_step(sibling, t).log
+        want = step_outcome(oracle.naive_step, head, d, bound)
+        before = (head.current, list(head.log), set(head.diffs),
+                  list(head.invs))
+        assert step_outcome(ds.hughes_step, head, d, bound) == want
+        if isinstance(want, str):
+            assert (head.current, head.log, head.diffs, head.invs) == before
+    # the last search, one past the chosen position, extends the set
+    assert head.current is not before[0]
+    assert head.diffs == ds.differences(head.current)
 
 
 @pytest.mark.parametrize("G", [Free(2), Integers()], ids=str)
@@ -364,15 +300,26 @@ def test_extensions_validate_only_their_new_elements(G, monkeypatch):
 
 
 def test_chain_carries_the_inverses():
-    # every extending state holds the inverses of its set, in order, in
-    # the one list its chain hands along
+    # after a chain of steps the state holds the inverses of its set, in
+    # order
     G = Free(2)
-    states = build(ds.hughes_step, G, 40)
-    head = states[-1]
+    head = build(ds.hughes_step, G, 40)
+    assert len(head.current.elements) > 10
     assert head.invs == [G.inv(s) for s in head.current.elements]
-    grown = [st for prev, st in zip(states, states[1:])
-             if st.current is not prev.current]
-    assert len(grown) > 10 and all(st.invs is head.invs for st in grown)
+
+
+def test_step_updates_its_state_in_place():
+    # a step returns the state it was given, and the build lets go of the
+    # differences but keeps the inverses of its set
+    G = Integers()
+    state = ds.BuilderState(ds.certify(pds(G, [0])))
+    for d in G.enumerate(8)[1:]:
+        assert ds.hughes_step(state, d) is state
+    assert len(state.log) == 7
+    assert state.current.elements == (0, 1, 3, -5, -9)
+    st = ds.hughes_build(G, 30)
+    assert st.diffs is None
+    assert st.invs == [G.inv(s) for s in st.current.elements]
 
 
 def test_builder_draws_each_position_once(monkeypatch):
@@ -394,13 +341,13 @@ def test_builder_draws_each_position_once(monkeypatch):
     monkeypatch.setattr(Integers, "elements", elements)
     G = Integers()
     st = ds.hughes_build(G, 250)
-    steps = {c for c, name in enumerate(callers) if name == "hughes_step"}
+    steps = {c for c, name in enumerate(callers) if name == "scan"}
     assert len(steps) == 1
     positions = [i for c, i in draws if c in steps]
-    assert len(positions) == len(set(positions)) == st.candidates.drawn
+    assert len(positions) == len(set(positions)) == st.drawn
     chosen = {int(e["chosen_x"]) for e in st.log if e["chosen_x"]}
     furthest = max(2 * abs(x) - (x > 0) for x in chosen)  # 0, 1, -1, 2, ...
-    assert st.candidates.drawn == furthest + 1 == 42188
+    assert st.drawn == furthest + 1 == 42188
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +410,14 @@ def test_candidate_verdicts_match_the_loop(G):
     d = next(t for t in G.elements() if t != G.identity and t not in D)
     marks = []
     for i, x in enumerate(G.enumerate(500)):
-        cands = ds.Candidates(iter(()))
-        cands.live[i], cands.drawn = x, i + 1
-        state = ds.BuilderState(S, head.targets_consumed, head.log, set(D),
-                                cands, list(invs))
+        state = ds.BuilderState(S, list(head.log))
+        state.diffs, state.invs = set(D), list(invs)
+        state.live[i], state.drawn, state.frontier = x, i + 1, iter(())
         try:
             ds.hughes_step(state, d)
             marked = False  # x joined the set
         except BoundedFailure:
-            marked = i not in cands.live
+            marked = i not in state.live
         assert marked == (x in els or not oracle.new_differences(
             G, els, invs, D, x, set()))
         marks.append(marked)
@@ -492,7 +438,7 @@ def tampered(state, log):
     """The state that `log` records, its set rebuilt from the log."""
     G = state.current.group
     els = [G.identity] + [G.parse(s) for e in log for s in e["added"]]
-    return ds.BuilderState(pds(G, els), len(log), log)
+    return ds.BuilderState(pds(G, els), log)
 
 
 @pytest.mark.parametrize("G,num_targets", [
@@ -522,7 +468,7 @@ def test_replay_chain_agrees_with_every_prefix(G, num_targets):
     log = list(st.log)
     log[i], log[j] = log[j], log[i]
     with pytest.raises(AssertionError, match="does not reproduce"):
-        ds.replay_chain(ds.BuilderState(st.current, len(log), log))
+        ds.replay_chain(ds.BuilderState(st.current, log))
     # with the set reordered to match, every prefix is still partial, but
     # a target is no longer a difference of the prefix its step built
     bad = tampered(st, log)
