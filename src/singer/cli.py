@@ -9,7 +9,7 @@ error, 2 verification failure with counterexample, 3 bounded failure.
 import argparse
 import json
 import sys
-from math import gcd
+from math import factorial, gcd
 
 from .errors import DomainError, CapError, BoundedFailure, Certificate
 from . import gf
@@ -104,11 +104,20 @@ def _table_report(T):
     return {"table": T.to_json(), "axioms": rep.to_json()}, rep
 
 
+def _integers(flag, text):
+    """The comma-separated integers of a flag's value, or DomainError."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} {text!r}: need comma-separated "
+                          f"integers") from None
+
+
 def _quotient_from_args(args):
     if args.generators:
         p, a = gf.factor_prime_power(args.p)
         F = gf.GF(p, a * args.ext)
-        gens = tuple(int(x) for x in args.generators.split(","))
+        gens = _integers("--generators", args.generators)
         return hyper.quotient_hyperring(hyper.QuotientSpec(F, gens))
     return hyper.field_quotient_table(args.p, args.ext)
 
@@ -159,40 +168,53 @@ def cmd_hyper(args):
 # ---------------------------------------------------------------------------
 
 def _fiber_group(spec, m):
-    """(kind, group) for the --S flag, which the parser lower-cases; kind
-    'first' means sharply transitive input for the diagonal construction."""
+    """The permutation group that the --S flag names, which the parser
+    lower-cases.  A regular group has one element per point, so a fiber
+    group whose order, read off its closed form, is past the point cap is
+    refused before any permutation is listed."""
     degree = m + 1
     if spec == "cycle":
-        return "first", f1.cyclic_shift_group(degree)
-    if spec in ("full", "symmetric"):
-        return "general", f1.full_symmetric_group(degree)
-    if spec in ("alternating", "alt"):
-        return "general", f1.alternating_group(degree)
-    if spec in ("dihedral", "dih"):
-        return "general", f1.dihedral_group(degree)
-    if spec.startswith("affine:"):
+        order, build = degree, f1.cyclic_shift_group
+    elif spec in ("full", "symmetric"):
+        order, build = factorial(degree), f1.full_symmetric_group
+    elif spec in ("alternating", "alt"):
+        order, build = factorial(degree) // 2, f1.alternating_group
+    elif spec in ("dihedral", "dih"):
+        order, build = 2 * degree, f1.dihedral_group
+    elif spec.startswith("affine:"):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"--S {spec}: affine:k needs an integer k")
-        return "general", f1.affine_group(degree, k)
-    raise DomainError(f"unknown fiber group spec {spec!r}")
+        order, build = degree * k, lambda p: f1.affine_group(p, k)
+    else:
+        raise DomainError(f"unknown fiber group spec {spec!r}")
+    if order > f1.F1_POINT_CAP:
+        raise CapError(f"--S {spec} on {degree} points has more elements "
+                       f"than the point cap {f1.F1_POINT_CAP}, and a regular "
+                       f"group has one per point")
+    return build(degree)
 
 
 def cmd_f1(args):
     payload = {"m": args.m}
-    if not args.chain and args.n is None:
-        raise DomainError("need --n or --chain")
-    kind, S = _fiber_group(args.S, args.m)
     if args.chain:
-        chain = [int(x) for x in args.chain.split(",")]
-        if kind != "first":
+        levels = _integers("--chain", args.chain)
+        if args.S != "cycle":
             raise DomainError("chains use the diagonal construction; "
                               "the fiber group must be sharply transitive")
-        payload["limit"] = f1.direct_limit_demo(args.m, chain, S)
+    elif args.n is None:
+        raise DomainError("need --n or --chain")
+    else:
+        levels = [args.n]
+    # the largest space first: the fiber group is listed only below the cap
+    f1.space_size(args.m, max(levels))
+    S = _fiber_group(args.S, args.m)
+    if args.chain:
+        payload["limit"] = f1.direct_limit_demo(args.m, levels, S)
         return _finish(payload, args.out, payload["limit"]["coherent"],
                        "chain coherent", "chain incoherent")
-    if kind == "first":
+    if args.S == "cycle":
         A = f1.singer_first(args.m, args.n, S)
     else:
         A = f1.singer_general(S, args.n)

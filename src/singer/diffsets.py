@@ -1,14 +1,14 @@
 """Partial and perfect difference sets, the classical cyclic construction,
-and the greedy two-element successor builder with its abelian shortcut.
+and the greedy two-element successor builder.
 
 A subset S of a group is *partial* when the difference map
 (a, b) -> a b^-1 on ordered pairs of distinct elements is injective, and
 *perfect* when that map is a bijection onto the nonidentity elements.
 The builder consumes target elements in enumeration order and, for each
 target d not yet a difference, adjoins {x, d^-1 x} for the least x that
-keeps the set partial; for abelian groups the absence of involutions
-makes the conjugation collision impossible, which is checked up front and
-asserted along the way.
+keeps the set partial.  A group with an involution is refused up front;
+in any other group, abelian or not, each step tests every new difference
+against the set's and against each other (`_new_differences`).
 """
 
 import hashlib
@@ -155,7 +155,8 @@ def classical_singer(q, m):
         if h != 0:
             S.add(log[h] % v)
     G = FieldQuotient(p, a, m + 1)
-    pds = PartialDifferenceSet(G, tuple(sorted(S)))
+    # distinct residues below v = |G| (DECISIONS.md, "Trusted builders")
+    pds = PartialDifferenceSet._trusted(G, tuple(sorted(S)), False)
     if m == 2:
         # only planes give lambda = 1; in higher dimension the hyperplane
         # set indexes the Singer action but is not a partial set
@@ -299,22 +300,13 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
     finally:
         for i in marked:
             del state.live[i]
-    x = new_els[0]
-    if G.abelian:
-        # the conjugation collision d^x = s_j^-1 s_i cannot fire when
-        # the group is abelian and d is not yet a difference
-        conj = G.mul(G.mul(G.inv(x), d), x)
-        assert conj == d, "abelian shortcut violated"
-    # each element of els was validated when it joined the set, and the
-    # scan drew x from G.elements() and formed y by G.mul, both outside
-    # elset and x != y: only the new elements are validated
-    for z in new_els:
-        G.validate(z)
     assert d in new, "target must appear among the new differences"
+    # x, y: new, distinct and made here (DECISIONS.md, "Trusted builders")
     state.current = PartialDifferenceSet._trusted(G, els + new_els, True)
     diffs |= new
     invs.extend(map(G.inv, new_els))
-    entry.update(chosen_x=G.canon(x), added=[G.canon(z) for z in new_els])
+    entry.update(chosen_x=G.canon(new_els[0]),
+                 added=[G.canon(z) for z in new_els])
     state.log.append(entry)
     return state
 
@@ -322,12 +314,16 @@ def hughes_step(state, d, search_bound=DEFAULT_SEARCH_BOUND):
 def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
     """Run hughes_step over the first num_targets nonidentity elements.
 
-    Groups with an involution are refused outright (an abelian one can
-    never carry a planar Singer action); general backends get the same
-    squares check as a precondition.  A search bound below 1 admits no
-    candidate, so it is refused here, not in each step."""
+    Any group with an involution is refused outright: an involution
+    fixes a point of every plane it acts on.  Each step tests every new
+    difference (`_new_differences`), abelian group or not.  More targets
+    than |G| - 1, and a search bound below 1, are refused here."""
     if num_targets < 1:
         raise DomainError("need at least one target")
+    if G.order is not None and num_targets >= G.order:
+        raise DomainError(f"{G.spec_string()} has {G.order - 1} "
+                          f"nonidentity elements, so at most "
+                          f"{G.order - 1} targets, not {num_targets}")
     if search_bound < 1:
         raise DomainError(f"the search bound must be >= 1, not {search_bound}")
     found, witness = has_involution(G)
@@ -340,8 +336,6 @@ def hughes_build(G, num_targets, search_bound=DEFAULT_SEARCH_BOUND):
     # the enumeration starts at the identity, which is no target
     for h in islice(G.elements(), 1, num_targets + 1):
         hughes_step(state, h, search_bound)
-    if len(state.log) < num_targets:
-        raise BoundedFailure("group exhausted before target count")
     # the certificates build their own differences of the set, so the
     # state's k(k - 1) of them are let go before they run
     state.diffs = None

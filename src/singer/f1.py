@@ -17,17 +17,22 @@ from .groups import (Monomial, Symmetric, closure, cyclic_generator,
 F1_POINT_CAP = 10 ** 4
 
 
+def space_size(m, n):
+    """The n(m + 1) points of `F1Space(m, n)`, or the error it raises."""
+    if m < 1 or n < 1:
+        raise DomainError("need m >= 1 and n >= 1")
+    if n * (m + 1) > F1_POINT_CAP:
+        raise CapError(f"point cap {F1_POINT_CAP} exceeded")
+    return n * (m + 1)
+
+
 class F1Space:
     """m+1 disjoint fibers of size n; points are (fiber, twist) pairs."""
 
     def __init__(self, m, n):
-        if m < 1 or n < 1:
-            raise DomainError("need m >= 1 and n >= 1")
-        if n * (m + 1) > F1_POINT_CAP:
-            raise CapError(f"point cap {F1_POINT_CAP} exceeded")
+        self.npoints = space_size(m, n)
         self.m = m
         self.n = n
-        self.npoints = n * (m + 1)
         self.points = [(i, t) for i in range(m + 1) for t in range(n)]
         self.aut = Monomial(n, m + 1)
 

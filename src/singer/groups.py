@@ -454,6 +454,10 @@ def parse_group(spec):
             return Monomial(n, m)
         if kind == "fieldquot":
             kv = dict(item.split("=") for item in params.split(","))
+            missing = [k for k in "pnm" if k not in kv]
+            if missing:
+                raise DomainError(f"bad group spec {spec!r}: missing "
+                                  f"{', '.join(missing)}")
             return FieldQuotient(int(kv["p"]), int(kv["n"]), int(kv["m"]))
     except (DomainError, CapError):
         raise

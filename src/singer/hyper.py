@@ -60,6 +60,15 @@ class HyperTable:
                     raise DomainError("hyperaddition values must be nonempty "
                                       "subsets of the carrier")
 
+    @classmethod
+    def _trusted(cls, labels, zero, one, mul, hyperadd):
+        """The table, its lists kept as given, from a builder that vouches
+        for every check of `__init__`; each call site says why."""
+        T = cls.__new__(cls)
+        T.labels, T.zero, T.one, T.mul = labels, zero, one, mul
+        T.hyperadd, T.n, T.quotient = hyperadd, len(labels), None
+        return T
+
     def add_set(self, x, y):
         return _bits(self.hyperadd[x][y])
 
@@ -278,7 +287,8 @@ def krasner():
     labels = ["0", "1"]
     mul = [[0, 0], [0, 1]]
     hyperadd = [[0b01, 0b10], [0b10, 0b11]]
-    return HyperTable(labels, 0, 1, mul, hyperadd)
+    # new literals of a valid table (DECISIONS.md, "Trusted builders")
+    return HyperTable._trusted(labels, 0, 1, mul, hyperadd)
 
 
 def _line_table(els, mul, identity, labels, lines):
@@ -316,8 +326,9 @@ def _line_table(els, mul, identity, labels, lines):
                     hyperadd[p + 1][q + 1] = full & ~(2 << p | 2 << q)
     if any(0 in row for row in hyperadd):
         raise DomainError("labeling does not cover all point pairs")
-    return HyperTable(["0"] + list(labels), 0, index[identity], prod,
-                      hyperadd)
+    # the tests above leave a valid table (DECISIONS.md, "Trusted builders")
+    return HyperTable._trusted(["0"] + list(labels), 0, index[identity],
+                               prod, hyperadd)
 
 
 def k_algebra(G):
@@ -412,7 +423,8 @@ def quotient_hyperring(Q):
         prod[x] = [0] + [products[j] for j in order]
     labels = ["{0}"] + ["{" + ",".join(map(str, cosets[i])) + "}"
                         for i in order]
-    T = HyperTable(labels, 0, at[0], prod, hyperadd)
+    # S_k is empty only for -1, given {0} (DECISIONS.md, "Trusted builders")
+    T = HyperTable._trusted(labels, 0, at[0], prod, hyperadd)
     T.quotient = Q
     return T
 
@@ -489,7 +501,8 @@ def hyperfield_to_geometry(T):
              for i, x in enumerate(points) for y in points[i + 1:]}
     lines = {tuple(pidx[w] for w in _bits(m) if w != z) for m in masks}
     meta = {"construction": "hyperfield", "carrier": [T.labels[p] for p in points]}
-    return IncidenceStructure(len(points), sorted(lines), meta)
+    # distinct sorted index tuples (DECISIONS.md, "Trusted builders")
+    return IncidenceStructure._trusted(len(points), sorted(lines), meta)
 
 
 def geometry_to_hyperfield(gamma, G, point_elements):

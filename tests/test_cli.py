@@ -86,6 +86,14 @@ def test_hyper_stdout_pinned(capsys):
     "lemma --p 2 --max 4096",                     # 2^8192: 8193 bits
     "lemma --p 1048573 --max 205",                # 8200 bits
     "lemma --p 2 --max 100000",
+    # refused before the fiber group is listed: a regular group has one
+    # element per point, and these groups have more than the point cap
+    "f1 --m 7 --n 1 --S full",                    # 8! permutations
+    "f1 --m 8 --n 1 --S full",
+    "f1 --m 9 --n 1 --S alt",
+    "f1 --m 1008 --n 1 --S affine:1008",          # 1009 * 1008
+    "f1 --m 9999 --n 2",                          # the point cap first
+    "f1 --m 100000 --chain 1",
 ])
 def test_refusals_past_the_caps_are_fast(argv, capsys):
     t0 = time.perf_counter()
@@ -358,11 +366,29 @@ def test_lemma_refuses_an_empty_sweep(tmp_path, capsys):
     "f1 --m 4 --n 1 --S bogusfull",   # was S_5, then a stabilizer error
     "f1 --m 4 --n 1 --S affine:x",    # was "invalid literal for int()"
     "f1 --m 4 --n 1 --S affine:",
+    "hughes --group cyclic:7 --targets 7",   # was exit 3 after the build
+    "hughes --group cyclic:1 --targets 1",
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, out, err = run(argv.split(), capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # was "invalid literal for int() with base 10: ''"
+    ("hyper quotient --p 4 --ext 2 --generators ,",
+     "--generators ',': need comma-separated integers"),
+    ("f1 --m 2 --chain 1,x", "--chain '1,x': need comma-separated integers"),
+    # was "bad group spec 'fieldquot:p=2': 'n'"
+    ("hughes --group fieldquot:p=2 --targets 2",
+     "bad group spec 'fieldquot:p=2': missing n, m"),
+    ("hughes --group cyclic:7 --targets 7",
+     "cyclic:7 has 6 nonidentity elements, so at most 6 targets, not 7"),
+])
+def test_usage_errors_name_the_fault(argv, message, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
 def _readme_commands():

@@ -287,16 +287,15 @@ def test_head_state_under_smaller_bounds(G, n):
 
 @pytest.mark.parametrize("G", [Free(2), Integers()], ids=str)
 def test_extensions_validate_only_their_new_elements(G, monkeypatch):
-    # the identity, each target and each adjoined element are validated
-    # once; the k elements already in the set are not validated again
+    # the identity and each target are validated once, at entry; the
+    # builder formed each adjoined element itself, so none is validated
     calls = []
     plain = type(G).validate
     monkeypatch.setattr(type(G), "validate",
                         lambda self, a: calls.append(a) or plain(self, a))
     st = ds.hughes_build(G, 40)
-    added = sum(len(entry["added"]) for entry in st.log)
-    assert added > 10
-    assert len(calls) == 1 + len(st.log) + added
+    assert len(st.current.elements) > 10
+    assert len(calls) == 1 + len(st.log)
 
 
 def test_chain_carries_the_inverses():

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from singer.errors import DomainError, CapError
-from singer.groups import Cyclic, Abelian, Symmetric, closure
+from singer.groups import Cyclic, Abelian, Symmetric, closure, cyclic_generator
 from singer import cli, hyper
 from singer import _backend
 from singer import gf
 from singer import geometry as geo
 
 from oracle import assoc_witness, distrib_witness, monoid_witness
+from test_geometry import _assert_validated
 
 
 def test_krasner_axioms():
@@ -279,11 +280,9 @@ def _reference_table(ring, gens):
     return hyper.HyperTable(*_quotient_reference(ring, gens))
 
 
-def _quotient_specs():
-    """Every cyclic unit subgroup of GF(q), q <= 32, by one generator; the
-    quotients GF(q^m)/GF(q)^x for (q, m) = (3, 2), (4, 2), (3, 3); and
-    subgroups given by two generators, whose orders have the lcm |G|."""
-    for q in range(2, 33):
+def _cyclic_unit_specs(top):
+    """Every cyclic unit subgroup of GF(q), q <= top, by one generator."""
+    for q in range(2, top + 1):
         try:
             p, a = gf.factor_prime_power(q)
         except DomainError:
@@ -293,8 +292,19 @@ def _quotient_specs():
         for d in range(1, q):
             if (q - 1) % d == 0:
                 yield hyper.QuotientSpec(F, (F.pow(g, (q - 1) // d),))
+
+
+def _quotient_specs():
+    """Every cyclic unit subgroup of GF(q), q <= 32, by one generator; the
+    quotients GF(q^m)/GF(q)^x for (q, m) = (3, 2), (4, 2), (3, 3); and
+    subgroups given by two generators, whose orders have the lcm |G|."""
+    yield from _cyclic_unit_specs(32)
     for q, m in ((3, 2), (4, 2), (3, 3)):
         yield hyper.field_quotient_table(q, m).quotient
+    yield from _two_generator_specs()
+
+
+def _two_generator_specs():
     F = gf.GF(2, 6)
     g = F.primitive_element()
     yield hyper.QuotientSpec(F, (3, 2))
@@ -333,6 +343,67 @@ def test_specs_compare_by_field_and_unit_order():
         assert (T.labels, T.mul, T.hyperadd) == (U.labels, U.mul, U.hyperadd)
     assert hyper.QuotientSpec(F, (F.pow(g, 9),)) != Q
     assert hyper.QuotientSpec(gf.GF(2, 3), ()) != hyper.QuotientSpec(F, ())
+
+
+def _assert_validated_table(T):
+    """T equals itself rebuilt through the validated constructor, which
+    sets no `quotient`."""
+    checked = hyper.HyperTable(T.labels, T.zero, T.one, T.mul, T.hyperadd)
+    assert vars(checked) == dict(vars(T), quotient=None)
+    assert checked.to_json() == T.to_json()
+    if hyper.is_k_vectorspace(T):
+        _assert_validated(hyper.hyperfield_to_geometry(T))
+
+
+def _labeled_geometry(T):
+    """T's geometry, and its points labeled by their discrete logs in the
+    cyclic unit group of T."""
+    units = [x for x in range(T.n) if x != T.zero]
+    g = cyclic_generator(lambda a, b: T.mul[a][b], T.one, units)
+    log, x = {}, T.one
+    for k in range(len(units)):
+        log[x], x = k, T.mul[x][g]
+    return (hyper.hyperfield_to_geometry(T), Cyclic(len(units)),
+            [log[x] for x in units])
+
+
+def test_trusted_tables_match_the_validated_constructor():
+    tables = [hyper.krasner(), hyper.k_algebra(Abelian((3, 3)))]
+    tables += [hyper.k_algebra(Cyclic(n)) for n in (3, 4, 30, 62, 63, 64, 65)]
+    for Q in [*_cyclic_unit_specs(64), *_two_generator_specs()]:
+        T = hyper.quotient_hyperring(Q)
+        assert T.quotient is Q
+        tables.append(T)
+    for q, m in ((3, 3), (4, 3), (8, 3), (3, 4)):
+        T = hyper.field_quotient_table(q, m)
+        tables += [T, hyper.roundtrip_table(T),
+                   hyper.geometry_to_hyperfield(*_labeled_geometry(T))]
+    for n in (4, 30):
+        T = hyper.k_algebra(Cyclic(n))
+        tables.append(hyper.geometry_to_hyperfield(*_labeled_geometry(T)))
+    for T in tables:
+        _assert_validated_table(T)
+
+
+def test_builders_pass_no_validated_constructor(monkeypatch, capsys):
+    # with both validating constructors refusing, every table and hyperfield
+    # geometry of these commands comes from a trusted builder, and each
+    # command still prints its pinned payload
+    def refuse(*args):
+        raise AssertionError("a builder called a validated constructor")
+
+    monkeypatch.setattr(hyper.HyperTable, "__init__", refuse)
+    monkeypatch.setattr(geo.IncidenceStructure, "__init__", refuse)
+    for argv, digest in (
+            ("hyper kalg --n 30", "4bd741b88ce5c511b04f1b568ea2603d"
+             "e53be9fb096ef10028693aa70ccf6f1c"),
+            ("hyper quotient --p 5 --ext 3", "57b3102c515ac00eda4e421484bb7c5f"
+             "06ec4a7684972e595d4721a72dc30b27"),
+            ("hyper roundtrip --p 8 --ext 3", "c89c7af56947fa627a1e9a0da3147"
+             "42f8c15b19a4ab100176d38ef91522571ee")):
+        assert cli.main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_generator_refusals_build_no_tables(monkeypatch):
